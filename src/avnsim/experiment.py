@@ -43,6 +43,8 @@ RNG_ALGORITHM = "philox4x64"
 
 DEFAULT_PAIR_RATE = 3.2e4
 DEFAULT_DURATION = 1.0
+# largest Poisson mean numpy's generator accepts ("lam value too large" above it)
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,15 @@ class CountTable:
             raise ValueError("counts do not sum to total")
 
 
+def check_seed(seed: int) -> int:
+    """Reject a seed the 64-bit Philox key cannot hold, rather than wrap it."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
 def _stream(seed: int, stream_index: int) -> np.random.Generator:
-    key = np.array([seed % (1 << 64), stream_index % (1 << 64)], dtype=np.uint64)
+    key = np.array([check_seed(seed), stream_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -199,13 +208,17 @@ class Schedule:
     overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.pair_rate > 0.0 and self.duration > 0.0):
-            raise ValueError("pair_rate and duration must be positive")
-        for corr_id, (rate, duration) in self.overrides.items():
+        entries = {"schedule": (self.pair_rate, self.duration)}
+        for corr_id, entry in self.overrides.items():
             if corr_id not in CORRELATION_BY_ID:
                 raise ValueError(f"override for unknown correlation {corr_id!r}")
-            if not (rate > 0.0 and duration > 0.0):
-                raise ValueError(f"override for {corr_id!r} must be positive")
+            entries[f"override for {corr_id!r}"] = entry
+        for where, (rate, duration) in entries.items():
+            for name, value in (("pair_rate", rate), ("duration", duration)):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{where}: {name} must be positive and finite, got {value}")
+            if rate * duration > POISSON_LAM_MAX:
+                raise ValueError(f"{where}: pair_rate * duration = {rate * duration:g} exceeds the Poisson limit {POISSON_LAM_MAX:g}")
 
     def mean_counts(self, corr_id: str) -> float:
         rate, duration = self.overrides.get(corr_id, (self.pair_rate, self.duration))

@@ -10,7 +10,9 @@ down-conversion (modeled as a white-noise admixture), limited
 interference visibility at the polarizing and non-polarizing beam
 splitters (modeled as independent polarization/path dephasing), and a
 misadjusted phase (modeled as an additive path-phase offset).  The fit
-routine calibrates those four knobs against measured correlation values.
+calibrates the knobs to the eight measured non-M rows, which fix only
+s = 1 - w, a = vp**2 and b = vq**2 * cos(delta); it reports the canonical
+model (delta = 0 or pi, vq = sqrt(|b|)), and degenerate means s = 0.
 """
 
 from __future__ import annotations
@@ -155,14 +157,9 @@ class FitResult:
     degenerate: bool = False
 
 
-_NON_M_OPS = tuple(correlation_operator(c) for c in CORRELATIONS[:8])
-
-# deterministic search grid for the calibration fit
-_W_GRID = np.linspace(0.0, 1.0, 21)
-_VIS_GRID = np.linspace(0.0, 1.0, 11)
-_PHASE_GRID = np.linspace(-math.pi, math.pi, 9)
-_FIT_MAX_SWEEPS = 1000
-_FIT_TOL = 1e-9
+# the fit stops once no variable moves by more than _FIT_TOL in a step
+_FIT_TOL = 1e-15
+_FIT_MAX_STEPS = 10_000
 
 
 def predicted_correlations(model: NoiseModel, phi: float = 0.0) -> np.ndarray:
@@ -171,65 +168,50 @@ def predicted_correlations(model: NoiseModel, phi: float = 0.0) -> np.ndarray:
     return np.array([mixed_expectation(correlation_operator(c), rho) for c in CORRELATIONS])
 
 
-def _non_m_predictions(model: NoiseModel) -> np.ndarray:
-    rho = apply_noise(build_psi(0.0), model)
-    return np.array([mixed_expectation(op, rho) for op in _NON_M_OPS])
-
-
-def _objective(params: np.ndarray, targets: np.ndarray) -> float:
-    model = NoiseModel(params[0], params[1], params[2], params[3])
-    dev = _non_m_predictions(model) - targets
-    return float(np.dot(dev, dev))
-
-
 def fit_noise(targets) -> FitResult:
     """Least-squares calibration of the noise model against measured values.
 
     targets are the measured correlation values in canonical order; either
-    the eight non-M values or all nine (the M entry is then ignored, the
-    fit always uses the eight non-M operators).  Deterministic: a fixed
-    grid scan followed by coordinate descent with shrinking steps.
+    the eight non-M values or all nine (the M entry is then ignored).  At
+    phi = 0 the eight rows fix only s = 1 - w, a = vp**2 and
+    b = vq**2 * cos(delta):
+
+        ZZ = Z'Z' = -s      XX = -s*a          X'X' = -s*b
+        ZZ'-Z-Z' = s        XX'-X-X' = s*a*b   Z-X'-ZX' = s*b
+        X-Z'-XZ' = s*a
+
+    Each is linear once the other two are fixed, so the fit cycles through
+    the three clipped one-variable least-squares solutions from (1, 1, 1).
+    It reports the canonical model w = 1 - s, vp = sqrt(a), vq = sqrt(|b|),
+    delta = 0 (b >= 0) or pi (b < 0); degenerate means s = 0, pure white
+    noise with a and b undetermined.  The residual is evaluated once, on
+    the density matrix of the reported model.
     """
     targets = np.asarray([float(t) for t in targets], dtype=float)
     if targets.shape[0] not in (8, 9):
         raise ValueError("expected 8 or 9 target correlation values")
-    if np.any(np.abs(targets) > 1.0 + 1e-12):
+    if not np.all(np.abs(targets) <= 1.0 + 1e-12):
         raise ValueError("correlation targets must lie in [-1, 1]")
-    targets = targets[:8]
+    zz, zz2, xx, xx2, zz_mix, xx_mix, zx, xz = targets[:8].tolist()
 
-    if np.all(targets == 0.0):
+    s, a, b = 1.0, 1.0, 1.0
+    for _ in range(_FIT_MAX_STEPS):
+        # c.t / |c|^2 for the row coefficients c = (-1, -1, -a, -b, 1, ab, b, a)
+        ct = -zz - zz2 - a * xx - b * xx2 + zz_mix + a * b * xx_mix + b * zx + a * xz
+        s_new = min(max(ct / ((2.0 + a * a) * (2.0 + b * b) - 1.0), 0.0), 1.0)
+        if s_new == 0.0:
+            break
+        a_new = min(max((xz - xx + b * xx_mix) / (s_new * (2.0 + b * b)), 0.0), 1.0)
+        b_new = min(max((zx - xx2 + a_new * xx_mix) / (s_new * (2.0 + a_new * a_new)), -1.0), 1.0)
+        step = max(abs(s_new - s), abs(a_new - a), abs(b_new - b))
+        s, a, b = s_new, a_new, b_new
+        if step <= _FIT_TOL:
+            break
+
+    degenerate = s_new == 0.0
+    if degenerate:
         model = NoiseModel(white_noise_weight=1.0)
-        return FitResult(model=model, residual=0.0, degenerate=True)
-
-    # grid stage; white noise only rescales, so scan it analytically
-    best = (math.inf, None)
-    for vp in _VIS_GRID:
-        for vq in _VIS_GRID:
-            for delta in _PHASE_GRID:
-                base = _non_m_predictions(NoiseModel(0.0, vp, vq, delta))
-                resid = np.sum(((1.0 - _W_GRID)[:, None] * base[None, :] - targets) ** 2, axis=1)
-                k = int(np.argmin(resid))
-                if resid[k] < best[0]:
-                    best = (float(resid[k]), np.array([_W_GRID[k], vp, vq, delta]))
-    value, params = best
-
-    # coordinate descent with halving steps
-    lo = np.array([0.0, 0.0, 0.0, -math.pi])
-    hi = np.array([1.0, 1.0, 1.0, math.pi])
-    steps = np.array([_W_GRID[1], _VIS_GRID[1], _VIS_GRID[1], _PHASE_GRID[1] - _PHASE_GRID[0]])
-    for _ in range(_FIT_MAX_SWEEPS):
-        improved = False
-        for i in range(4):
-            for direction in (+1.0, -1.0):
-                cand = params.copy()
-                cand[i] = min(max(cand[i] + direction * steps[i], lo[i]), hi[i])
-                cand_value = _objective(cand, targets)
-                if cand_value < value - _FIT_TOL * 1e-3:
-                    params, value = cand, cand_value
-                    improved = True
-        if not improved:
-            steps = steps / 2.0
-            if float(steps.max()) < _FIT_TOL:
-                break
-    model = NoiseModel(params[0], params[1], params[2], params[3])
-    return FitResult(model=model, residual=value, degenerate=False)
+    else:
+        model = NoiseModel(1.0 - s, math.sqrt(a), math.sqrt(abs(b)), 0.0 if b >= 0.0 else math.pi)
+    dev = predicted_correlations(model)[:8] - targets[:8]
+    return FitResult(model=model, residual=float(np.dot(dev, dev)), degenerate=degenerate)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from avnsim.cli import main, to_json
+from avnsim.cli import _reproduce_document, main, to_json
 from avnsim import reference
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -148,6 +148,24 @@ class TestReproducePaper:
         assert rows["visibility"]["derived_from_paper"] == pytest.approx(0.952116, abs=1e-6)
         assert doc["all_pass"] is True
 
+    def test_seed_73_passes_the_m_fidelity_row(self):
+        # m_fidelity = (1 - E(M))/2 is judged at half the E(M) row's tolerance,
+        # sampling margin included; a fixed 0.015 failed this seed
+        doc = _reproduce_document(73)
+        rows = {row["name"]: row for row in doc["rows"]}
+        assert rows["m_fidelity"]["tolerance"] == pytest.approx(rows["E(M)"]["tolerance"] / 2)
+        assert rows["m_fidelity"]["pass"] is True
+        assert doc["all_pass"] is True
+
+    def test_m_fidelity_verdict_equals_the_e_m_verdict(self):
+        verdicts = set()
+        for seed in range(1700, 1800):
+            rows = {row["name"]: row for row in _reproduce_document(seed)["rows"]}
+            assert rows["m_fidelity"]["pass"] == rows["E(M)"]["pass"], seed
+            verdicts.add(rows["E(M)"]["pass"])
+        # the range holds seed 1743, where E(M) itself fails
+        assert verdicts == {True, False}
+
 
 class TestErrors:
     def test_malformed_config_exits_2(self, tmp_path):
@@ -166,6 +184,27 @@ class TestErrors:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"noise": {"white_noise_weight": 2.0}}))
         assert main(["predict", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["simulate", "predict", "reproduce-paper"])
+    def test_seed_outside_64_bits_exits_2(self, command, seed, capsys):
+        assert main([command, "--seed", str(seed)]) == 2
+        assert f"seed {seed}" in capsys.readouterr().err
+
+    def test_config_seed_outside_64_bits_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"seed": -1}))
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "seed -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e300"])
+    def test_undrawable_pair_rate_exits_2_naming_the_field(self, tmp_path, literal):
+        config = tmp_path / "bad.json"
+        config.write_text('{"schedule": {"pair_rate": %s}}' % literal)
+        proc = run_subprocess(["simulate"], config)
+        assert proc.returncode == 2
+        assert b"pair_rate" in proc.stderr
+        assert b"lam value" not in proc.stderr and b"Traceback" not in proc.stderr
 
     def test_unknown_format_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avnsim.experiment import (
+    POISSON_LAM_MAX,
     ContextPair,
     CountTable,
     Schedule,
@@ -92,6 +93,13 @@ class TestSampleEvents:
         with pytest.raises(ValueError):
             sample_events(np.full(16, 1 / 16), -1, seed=0)
 
+    def test_rejects_seeds_outside_64_bits_instead_of_wrapping(self):
+        dist = np.full(16, 1 / 16)
+        assert sample_events(dist, 10, seed=2**64 - 1).total == 10
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=str(seed)):
+                sample_events(dist, 10, seed=seed)
+
 
 class TestEstimateCorrelation:
     def test_concentrated_table(self):
@@ -143,6 +151,19 @@ class TestSchedule:
             Schedule(pair_rate=0.0)
         with pytest.raises(ValueError):
             Schedule(overrides={"nope": (1.0, 1.0)})
+
+    @pytest.mark.parametrize("rate", [math.inf, 1e300])
+    def test_rejects_a_mean_numpy_cannot_draw(self, rate):
+        with pytest.raises(ValueError, match="pair_rate"):
+            Schedule(pair_rate=rate)
+        with pytest.raises(ValueError, match="override for 'ZZ'.*pair_rate"):
+            Schedule(overrides={"ZZ": (rate, 1.0)})
+        with pytest.raises(ValueError, match="duration"):
+            Schedule(duration=math.inf)
+
+    def test_the_poisson_limit_itself_is_drawable(self):
+        report = run_schedule(RHO_IDEAL, Schedule(pair_rate=POISSON_LAM_MAX, duration=1.0), seed=0)
+        assert report.estimate("ZZ").E == -1.0
 
 
 class TestRunSchedule:
