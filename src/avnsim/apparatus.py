@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -37,19 +36,6 @@ import numpy as np
 from .observables import Setting, context
 from .qstate import DIM, Party, dagger
 from .source import NoiseModel, apply_noise, build_psi
-
-
-class ElementKind(Enum):
-    BEAM_SPLITTER = "beam_splitter"
-    POLARIZING_BEAM_SPLITTER = "polarizing_beam_splitter"
-    HALF_WAVE_PLATE = "half_wave_plate"
-    POLARIZER = "polarizer"
-
-
-@dataclass(frozen=True)
-class OpticalElement:
-    kind: ElementKind
-    angle: float = 0.0
 
 
 def bs_transform() -> np.ndarray:
@@ -105,13 +91,6 @@ class DetectionModel:
     party: Party
     setting: Setting
     outcomes: tuple[OutcomeChannel, ...]
-    elements: tuple[OpticalElement, ...]
-
-    def projector(self, bit1: int, bit2: int) -> np.ndarray:
-        for ch in self.outcomes:
-            if ch.bit1 == bit1 and ch.bit2 == bit2:
-                return ch.projector
-        raise KeyError(f"no outcome with bits ({bit1}, {bit2})")
 
     def marginal_probability(self, state: np.ndarray, bit1: int | None = None, bit2: int | None = None) -> float:
         """Probability of the given bit value(s) on a pure input state."""
@@ -130,7 +109,7 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 def _device_recipe(party: Party, setting: Setting):
-    """4x4 device unitary, detector-bit labelers and element list.
+    """4x4 device unitary and detector-bit labelers.
 
     The unitary maps the incoming (pol x path) state to the detector
     basis: pol bit p = analyzer output, path bit q = exit port.  The two
@@ -141,36 +120,27 @@ def _device_recipe(party: Party, setting: Setting):
         if party is Party.ALICE:
             # read path directly (z'), analyze polarization at +/-45 (x)
             unitary = np.kron(_HAD, _ID2)
-            elements = (OpticalElement(ElementKind.POLARIZER, math.pi / 4.0),)
             bit1 = lambda p, q: +1 if q == 0 else -1  # z'A from the path
             bit2 = lambda p, q: +1 if p == 0 else -1  # xA from the analyzer
         else:
             # read both path (z') and polarization (z) in the native bases
             unitary = np.kron(_ID2, _ID2)
-            elements = (OpticalElement(ElementKind.POLARIZER, 0.0),)
             bit1 = lambda p, q: +1 if p == 0 else -1  # zB
             bit2 = lambda p, q: +1 if q == 0 else -1  # zB'
     elif setting is Setting.B:
         if party is Party.ALICE:
             # beam splitter reads x', polarization analyzed in H/V (z)
             unitary = np.kron(_ID2, bs_transform())
-            elements = (OpticalElement(ElementKind.BEAM_SPLITTER), OpticalElement(ElementKind.POLARIZER, 0.0))
             bit1 = lambda p, q: +1 if p == 0 else -1  # zA
             bit2 = lambda p, q: +1 if q == 0 else -1  # xA' from the port
         else:
             unitary = np.kron(_HAD, bs_transform())
-            elements = (OpticalElement(ElementKind.BEAM_SPLITTER), OpticalElement(ElementKind.POLARIZER, math.pi / 4.0))
             bit1 = lambda p, q: +1 if p == 0 else -1  # xB
             bit2 = lambda p, q: +1 if q == 0 else -1  # xB'
     else:
         hwp_angle = 0.0 if party is Party.ALICE else math.pi / 8.0
         hwp = hwp_transform(hwp_angle)
         unitary = np.kron(_HAD, _ID2) @ pbs_merge() @ np.kron(hwp, _ID2)
-        elements = (
-            OpticalElement(ElementKind.HALF_WAVE_PLATE, hwp_angle),
-            OpticalElement(ElementKind.POLARIZING_BEAM_SPLITTER),
-            OpticalElement(ElementKind.POLARIZER, math.pi / 4.0),
-        )
         if party is Party.ALICE:
             # port R'' collects H-from-L and V-from-R, both zAzA' = -1;
             # the horizontal-axis HWP flips the sign of V, which lands the
@@ -182,13 +152,13 @@ def _device_recipe(party: Party, setting: Setting):
             # ports while the analyzer reads zBxB' on the merged beam
             bit1 = lambda p, q: +1 if p == 0 else -1  # zBxB' from the analyzer
             bit2 = lambda p, q: -1 if q == 0 else +1  # xBzB' from the port
-    return unitary, bit1, bit2, elements
+    return unitary, bit1, bit2
 
 
 @lru_cache(maxsize=None)
 def build_apparatus(party: Party, setting: Setting) -> DetectionModel:
     """Detection model of the physical device, projectors lifted to 16 dim."""
-    unitary, bit1_of, bit2_of, elements = _device_recipe(party, setting)
+    unitary, bit1_of, bit2_of = _device_recipe(party, setting)
     outcomes = []
     for p in (0, 1):
         for q in (0, 1):
@@ -202,7 +172,7 @@ def build_apparatus(party: Party, setting: Setting) -> DetectionModel:
             proj16.setflags(write=False)
             outcomes.append(OutcomeChannel(bit1_of(p, q), bit2_of(p, q), proj16))
     outcomes.sort(key=lambda ch: (-ch.bit1, -ch.bit2))
-    return DetectionModel(party, setting, tuple(outcomes), elements)
+    return DetectionModel(party, setting, tuple(outcomes))
 
 
 def apparatus_vs_projective(party: Party, setting: Setting) -> float:

@@ -38,6 +38,7 @@ from .observables import (
 )
 from .apparatus import build_apparatus
 from .qstate import DIM, Party, mixed_expectation
+from .source import _config_block, _config_float
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -235,24 +236,19 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        known = {"pair_rate", "duration", "overrides"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown schedule fields: {sorted(unknown)}")
+        _config_block(d, "schedule", {"pair_rate", "duration", "overrides"})
+        rate = _config_float(d.get("pair_rate", DEFAULT_PAIR_RATE), "schedule.pair_rate")
+        duration = _config_float(d.get("duration", DEFAULT_DURATION), "schedule.duration")
         overrides = {}
-        for corr_id, entry in d.get("overrides", {}).items():
-            sub_unknown = set(entry) - {"pair_rate", "duration"}
-            if sub_unknown:
-                raise ValueError(f"unknown override fields: {sorted(sub_unknown)}")
+        entries = _config_block(d.get("overrides", {}), "schedule.overrides", CORRELATION_BY_ID)
+        for corr_id, entry in entries.items():
+            where = f"schedule.overrides.{corr_id}"
+            _config_block(entry, where, {"pair_rate", "duration"})
             overrides[corr_id] = (
-                float(entry.get("pair_rate", d.get("pair_rate", DEFAULT_PAIR_RATE))),
-                float(entry.get("duration", d.get("duration", DEFAULT_DURATION))),
+                _config_float(entry.get("pair_rate", rate), f"{where}.pair_rate"),
+                _config_float(entry.get("duration", duration), f"{where}.duration"),
             )
-        return cls(
-            pair_rate=float(d.get("pair_rate", DEFAULT_PAIR_RATE)),
-            duration=float(d.get("duration", DEFAULT_DURATION)),
-            overrides=overrides,
-        )
+        return cls(pair_rate=rate, duration=duration, overrides=overrides)
 
 
 @dataclass(frozen=True)

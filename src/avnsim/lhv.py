@@ -5,10 +5,12 @@ product variables (zAzA', xAxA', zBxB', xBzB') are independent symbols:
 nowhere is m(zAzA') = m(zA) * m(zA') assumed, because each product is read
 out by its own device and never together with its factors.  Reproducing
 the nine perfect quantum correlations forces nine multiplicative
-constraints on the twelve values; this module enumerates all 2^12
-assignments and certifies that the constraint system is contradictory
-(every symbol appears an even number of times across the nine left-hand
-sides, so their product is +1, while the required signs multiply to -1).
+constraints on the twelve values, read from observables.CORRELATIONS
+(factor symbols and predicted sign); this module audits all 2^12
+assignments through one exact int8 table of constraint products and
+certifies that the constraint system is contradictory (every symbol
+appears an even number of times across the nine left-hand sides, so their
+product is +1, while the required signs multiply to -1).
 
 Everything here is exact integer arithmetic; no floating point touches
 the certificate.
@@ -18,7 +20,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
+
+from .observables import CORRELATION_IDS, CORRELATIONS
 
 SYMBOLS: tuple[str, ...] = (
     "zA",
@@ -47,17 +54,13 @@ class Constraint:
     required: int
 
 
-CONSTRAINTS: tuple[Constraint, ...] = (
-    Constraint(1, ("zA", "zB"), -1),
-    Constraint(2, ("zA'", "zB'"), -1),
-    Constraint(3, ("xA", "xB"), -1),
-    Constraint(4, ("xA'", "xB'"), -1),
-    Constraint(5, ("zAzA'", "zB", "zB'"), +1),
-    Constraint(6, ("xAxA'", "xB", "xB'"), +1),
-    Constraint(7, ("zA", "xA'", "zBxB'"), +1),
-    Constraint(8, ("xA", "zA'", "xBzB'"), +1),
-    Constraint(9, ("zAzA'", "xAxA'", "zBxB'", "xBzB'"), -1),
+# constraint k demands that correlation k's factors multiply to its sign
+CONSTRAINTS: tuple[Constraint, ...] = tuple(
+    Constraint(k, tuple(symbol for _, symbol in corr.factors), corr.sign)
+    for k, corr in enumerate(CORRELATIONS, start=1)
 )
+_M_CONSTRAINT = CONSTRAINTS[CORRELATION_IDS.index("M")]
+_M_SYMBOLS = _M_CONSTRAINT.symbols
 
 
 def with_flipped_sign(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -> tuple[Constraint, ...]:
@@ -90,6 +93,30 @@ def value_of(assignment: Assignment, symbol: str) -> int:
 def enumerate_assignments() -> Iterator[Assignment]:
     """All 4096 assignments, lexicographic with +1 before -1 per symbol."""
     return itertools.product((1, -1), repeat=len(SYMBOLS))
+
+
+@lru_cache(maxsize=None)
+def _sign_matrix() -> np.ndarray:
+    """Read-only int8 (4096, 12) matrix of all assignments, rows in enumerate_assignments() order."""
+    shifts = np.arange(len(SYMBOLS) - 1, -1, -1, dtype=np.int16)
+    bits = (np.arange(2 ** len(SYMBOLS), dtype=np.int16)[:, None] >> shifts) & 1
+    signs = (1 - 2 * bits).astype(np.int8)
+    signs.setflags(write=False)
+    return signs
+
+
+def _audit_table(constraints: Sequence[Constraint]) -> tuple[np.ndarray, np.ndarray]:
+    """Satisfied count and Bell quantity of every assignment, in _sign_matrix() row order.
+
+    The (4096, n) table of constraint products is int8, which is exact:
+    every entry is a product of +-1 values.
+    """
+    signs = _sign_matrix()
+    products = np.ones((len(signs), len(constraints)), dtype=np.int8)
+    for k, c in enumerate(constraints):
+        products[:, k] = signs[:, [_SYMBOL_INDEX[s] for s in c.symbols]].prod(axis=1, dtype=np.int8)
+    required = np.array([c.required for c in constraints], dtype=np.int8)
+    return (products == required).sum(axis=1), (products * required).sum(axis=1)
 
 
 def _constraint_product(assignment: Assignment, constraint: Constraint) -> int:
@@ -126,9 +153,7 @@ class AvnAudit:
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
     n = len(constraints)
-    histogram = [0] * (n + 1)
-    for a in enumerate_assignments():
-        histogram[check_constraints(a, constraints).satisfied_count] += 1
+    histogram = np.bincount(_audit_table(constraints)[0], minlength=n + 1).tolist()
     max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
     return AvnAudit(
         all_nine_count=histogram[n],
@@ -147,19 +172,10 @@ class LrBound:
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    best = -len(constraints) - 1
-    worst = len(constraints) + 1
-    argmax: list[Assignment] = []
-    for a in enumerate_assignments():
-        value = bell_quantity(a, constraints)
-        if value > best:
-            best = value
-            argmax = [a]
-        elif value == best:
-            argmax.append(a)
-        if value < worst:
-            worst = value
-    return LrBound(max_value=best, min_value=worst, argmax_assignments=tuple(argmax))
+    values = _audit_table(constraints)[1]
+    best = int(values.max())
+    argmax = tuple(map(tuple, _sign_matrix()[values == best].tolist()))
+    return LrBound(max_value=best, min_value=int(values.min()), argmax_assignments=argmax)
 
 
 def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
@@ -182,13 +198,9 @@ def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
 
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:
     """Assignments reproducing the eight non-M perfect correlations."""
-    non_m = CONSTRAINTS[:8]
-    return tuple(
-        a for a in enumerate_assignments() if check_constraints(a, non_m).satisfied_count == 8
-    )
-
-
-_M_SYMBOLS = ("zAzA'", "xAxA'", "zBxB'", "xBzB'")
+    non_m = without_constraint(_M_CONSTRAINT.index)
+    admissible = _audit_table(non_m)[0] == len(non_m)
+    return tuple(map(tuple, _sign_matrix()[admissible].tolist()))
 
 
 def lr_m_histogram() -> tuple[float, ...]:
@@ -200,15 +212,10 @@ def lr_m_histogram() -> tuple[float, ...]:
     module).  The support sits entirely on even-product outcomes, the
     exact complement of the quantum prediction.
     """
-    counts = [0] * 16
-    admissible = non_m_satisfying_assignments()
-    for a in admissible:
-        idx = 0
-        for s in _M_SYMBOLS:
-            idx = 2 * idx + (0 if value_of(a, s) > 0 else 1)
-        counts[idx] += 1
-    total = len(admissible)
-    return tuple(c / total for c in counts)
+    admissible = np.array(non_m_satisfying_assignments())
+    minus = admissible[:, [_SYMBOL_INDEX[s] for s in _M_SYMBOLS]] < 0
+    counts = np.bincount(minus @ np.array([8, 4, 2, 1]), minlength=16).tolist()
+    return tuple(c / len(admissible) for c in counts)
 
 
 def certificate() -> dict:
@@ -216,10 +223,8 @@ def certificate() -> dict:
     audit = avn_audit()
     bound = lr_bound()
     witness = parity_witness()
-    identity_ok = all(
-        bell_quantity(a) == 2 * check_constraints(a).satisfied_count - 9
-        for a in enumerate_assignments()
-    )
+    satisfied, values = _audit_table(CONSTRAINTS)
+    identity_ok = bool(np.array_equal(values, 2 * satisfied - 9))
     checks = {
         "no_assignment_satisfies_all_nine": audit.all_nine_count == 0,
         "max_satisfied_is_eight": audit.max_satisfied == 8,

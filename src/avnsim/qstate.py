@@ -163,21 +163,6 @@ def lift_local(op2: np.ndarray, slot: SubsystemSlot) -> np.ndarray:
     return out
 
 
-def lift_unitary(u2: np.ndarray, slot: SubsystemSlot) -> np.ndarray:
-    """Embed a 2x2 unitary at one slot (no hermiticity requirement)."""
-    u2 = np.asarray(u2, dtype=complex)
-    if u2.shape != (2, 2):
-        raise ValueError("local unitary must be 2x2")
-    if float(np.max(np.abs(u2 @ dagger(u2) - ID2))) > ATOL_SPECTRAL:
-        raise ValueError("local operator must be unitary")
-    parts = [ID2, ID2, ID2, ID2]
-    parts[slot.axis] = u2
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.kron(out, p)
-    return out
-
-
 def expectation(obs: np.ndarray, state: np.ndarray) -> float:
     """<state|obs|state> for a Hermitian obs; the imaginary residue must vanish."""
     obs = assert_observable(obs)

@@ -26,15 +26,11 @@ from . import qstate
 from .observables import CORRELATIONS, correlation_operator
 from .qstate import (
     DIM,
-    Dof,
-    Party,
-    SubsystemSlot,
     KET_H,
     KET_L,
     KET_R,
     KET_V,
     assert_density_matrix,
-    lift_unitary,
     mixed_expectation,
     tensor4,
 )
@@ -45,6 +41,24 @@ def _canonical_phase(phi: float) -> float:
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
     return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _config_block(d, where: str, known) -> dict:
+    """Check that a config block is a JSON object with only known fields."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r:.40}")
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
+    return d
+
+
+def _config_float(value, where: str) -> float:
+    """A config number as a float; where names the field in the error."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where} must be a number in float range, got {value!r:.40}") from None
 
 
 @dataclass(frozen=True)
@@ -59,10 +73,8 @@ class SourceConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceConfig":
-        unknown = set(d) - {"phi"}
-        if unknown:
-            raise ValueError(f"unknown source fields: {sorted(unknown)}")
-        return cls(phi=float(d.get("phi", 0.0)))
+        _config_block(d, "source", {"phi"})
+        return cls(phi=_config_float(d.get("phi", 0.0), "source.phi"))
 
 
 @dataclass(frozen=True)
@@ -90,11 +102,8 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        known = {"white_noise_weight", "pol_visibility", "path_visibility", "phase_offset"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown noise fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        _config_block(d, "noise", cls.__dataclass_fields__)
+        return cls(**{k: _config_float(v, f"noise.{k}") for k, v in d.items()})
 
 
 def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
@@ -116,7 +125,7 @@ def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-# index bit layout used by the dephasing mask
+# index bit layout used by the phase shift and the dephasing mask
 _BITS = np.array([[(i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(DIM)])
 _POL_MISMATCH = (_BITS[:, 0][:, None] != _BITS[:, 0][None, :]).astype(int) + (
     _BITS[:, 2][:, None] != _BITS[:, 2][None, :]
@@ -141,8 +150,9 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     always a valid density matrix.
     """
     psi = qstate.assert_state(state)
-    phase_shift = np.array([[1.0, 0.0], [0.0, np.exp(1j * model.phase_offset)]], dtype=complex)
-    psi = lift_unitary(phase_shift, SubsystemSlot(Party.ALICE, Dof.PATH)) @ psi
+    # phase on Alice's path qubit (index bit 1), as a matrix product: the
+    # elementwise form rounds differently in the last digit of some documents
+    psi = np.diag(np.exp(1j * model.phase_offset * _BITS[:, 1])) @ psi
     rho = np.outer(psi, psi.conj())
     damp = (model.pol_visibility ** _POL_MISMATCH) * (model.path_visibility ** _PATH_MISMATCH)
     w = model.white_noise_weight

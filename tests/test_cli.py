@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avnsim.cli import _reproduce_document, main, to_json
 from avnsim import reference
@@ -206,6 +209,25 @@ class TestErrors:
         assert b"pair_rate" in proc.stderr
         assert b"lam value" not in proc.stderr and b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    @pytest.mark.parametrize(
+        "literal, named",
+        [
+            ('{"noise": []}', "noise"),
+            ('{"source": 3}', "source"),
+            ('{"schedule": []}', "schedule"),
+            ('{"schedule": {"overrides": []}}', "schedule.overrides"),
+            ('{"schedule": {"overrides": {"ZZ": 5}}}', "schedule.overrides.ZZ"),
+            ('{"noise": {"pol_visibility": null}}', "noise.pol_visibility"),
+            ('{"schedule": {"pair_rate": null}}', "schedule.pair_rate"),
+        ],
+    )
+    def test_misshapen_config_exits_2_naming_the_field(self, command, literal, named, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(literal))
+        assert main([command, "--config", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"avnsim: error: {named} ")
+
     def test_unknown_format_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["predict", "--format", "yaml"])
@@ -218,3 +240,44 @@ def test_json_serializer_full_precision():
     assert json.loads(emitted)["x"] == value
     assert "0.30000000000000004" in emitted
     assert to_json({"nan": float("nan"), "inf": float("inf")}) == '{\n  "nan": null,\n  "inf": null\n}'
+
+
+_JSON_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _block(fields):
+    return st.dictionaries(st.sampled_from(fields), _JSON_LEAF | _JSON, max_size=len(fields)) | _JSON
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "source": _block(["phi"]),
+        "noise": _block(["white_noise_weight", "pol_visibility", "path_visibility", "phase_offset"]),
+        "schedule": st.fixed_dictionaries(
+            {},
+            optional={
+                "pair_rate": _JSON_LEAF,
+                "duration": _JSON_LEAF,
+                "overrides": st.dictionaries(st.sampled_from(["ZZ", "M", "nope"]), _block(["pair_rate", "duration"]), max_size=2)
+                | _JSON,
+            },
+        )
+        | _JSON,
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_CONFIGS)
+def test_any_json_config_gives_a_document_or_a_clean_exit_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        assert main(["predict", "--config", path, "--out", os.path.join(tmp, "out.json")]) in (0, 2)

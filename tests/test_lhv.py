@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from avnsim.observables import local_observable
 from avnsim.lhv import (
     CONSTRAINTS,
     SYMBOLS,
@@ -185,3 +186,42 @@ def test_assignment_from_dict_validation():
     bad["zA"] = 2
     with pytest.raises(ValueError):
         assignment_from_dict(bad)
+
+
+def _loop_reference(constraints):
+    """The per-assignment loops the product table replaced."""
+    histogram = [0] * (len(constraints) + 1)
+    values = {}
+    for a in enumerate_assignments():
+        histogram[check_constraints(a, constraints).satisfied_count] += 1
+        values[a] = bell_quantity(a, constraints)
+    best = max(values.values())
+    argmax = tuple(a for a, v in values.items() if v == best)
+    return tuple(histogram), best, min(values.values()), argmax
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [CONSTRAINTS, with_flipped_sign(9)] + [without_constraint(k) for k in range(1, 10)],
+    ids=["nine", "flipped_9"] + [f"without_{k}" for k in range(1, 10)],
+)
+def test_product_table_equals_the_assignment_loop(constraints):
+    histogram, best, worst, argmax = _loop_reference(constraints)
+    assert avn_audit(constraints).histogram == histogram
+    bound = lr_bound(constraints)
+    assert (bound.max_value, bound.min_value) == (best, worst)
+    assert bound.argmax_assignments == argmax
+
+
+def test_non_m_assignments_equal_the_assignment_loop():
+    non_m = without_constraint(9)
+    expected = tuple(
+        a for a in enumerate_assignments() if check_constraints(a, non_m).satisfied_count == 8
+    )
+    assert non_m_satisfying_assignments() == expected
+
+
+def test_symbols_are_the_constraint_symbols_and_local_observables():
+    assert set(SYMBOLS) == {s for c in CONSTRAINTS for s in c.symbols}
+    for s in SYMBOLS:
+        assert local_observable(s).shape == (16, 16)
