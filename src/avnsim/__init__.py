@@ -72,5 +72,3 @@ from .experiment import (
     sample_events,
 )
 from .cli import main
-
-__all__ = [name for name in dir() if not name.startswith("_")]

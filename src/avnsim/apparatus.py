@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .observables import Setting, context
-from .qstate import DIM, Party, dagger
+from .qstate import DIM, ID2, KET_MINUS, KET_PLUS, Party, dagger
 from .source import NoiseModel, apply_noise, build_psi
 
 
@@ -105,7 +105,6 @@ class DetectionModel:
 
 
 _HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_ID2 = np.eye(2, dtype=complex)
 
 
 def _device_recipe(party: Party, setting: Setting):
@@ -119,18 +118,18 @@ def _device_recipe(party: Party, setting: Setting):
     if setting is Setting.A:
         if party is Party.ALICE:
             # read path directly (z'), analyze polarization at +/-45 (x)
-            unitary = np.kron(_HAD, _ID2)
+            unitary = np.kron(_HAD, ID2)
             bit1 = lambda p, q: +1 if q == 0 else -1  # z'A from the path
             bit2 = lambda p, q: +1 if p == 0 else -1  # xA from the analyzer
         else:
             # read both path (z') and polarization (z) in the native bases
-            unitary = np.kron(_ID2, _ID2)
+            unitary = np.kron(ID2, ID2)
             bit1 = lambda p, q: +1 if p == 0 else -1  # zB
             bit2 = lambda p, q: +1 if q == 0 else -1  # zB'
     elif setting is Setting.B:
         if party is Party.ALICE:
             # beam splitter reads x', polarization analyzed in H/V (z)
-            unitary = np.kron(_ID2, bs_transform())
+            unitary = np.kron(ID2, bs_transform())
             bit1 = lambda p, q: +1 if p == 0 else -1  # zA
             bit2 = lambda p, q: +1 if q == 0 else -1  # xA' from the port
         else:
@@ -140,7 +139,7 @@ def _device_recipe(party: Party, setting: Setting):
     else:
         hwp_angle = 0.0 if party is Party.ALICE else math.pi / 8.0
         hwp = hwp_transform(hwp_angle)
-        unitary = np.kron(_HAD, _ID2) @ pbs_merge() @ np.kron(hwp, _ID2)
+        unitary = np.kron(_HAD, ID2) @ pbs_merge() @ np.kron(hwp, ID2)
         if party is Party.ALICE:
             # port R'' collects H-from-L and V-from-R, both zAzA' = -1;
             # the horizontal-axis HWP flips the sign of V, which lands the
@@ -191,10 +190,7 @@ def apparatus_vs_projective(party: Party, setting: Setting) -> float:
     return worst
 
 
-_PORT_KETS = {
-    "+": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "-": np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-}
+_PORT_KETS = {"+": KET_PLUS, "-": KET_MINUS}
 
 DEFAULT_FRINGE_ANGLES = (math.pi / 4.0, -math.pi / 4.0)
 DEFAULT_FRINGE_PORTS = ("+", "-")

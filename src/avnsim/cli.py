@@ -21,6 +21,7 @@ import numpy as np
 
 from . import lhv, reference
 from .experiment import Schedule, check_seed, predict_exact, run_schedule
+from .qstate import INDEX_BITS
 from .source import NoiseModel, SourceConfig, apply_noise, build_psi
 
 DEFAULT_SEED = 0
@@ -86,7 +87,7 @@ BAR_WIDTH = 40
 
 
 def _bin_label(idx: int) -> str:
-    return "".join("+" if (idx >> b) & 1 == 0 else "-" for b in (3, 2, 1, 0))
+    return "".join("+-"[bit] for bit in INDEX_BITS[idx])
 
 
 def render_histogram(title: str, bins) -> list[str]:

@@ -8,7 +8,8 @@ forms the counting estimator
     E(p) = [C(p=+1) - C(p=-1)] / [C(p=+1) + C(p=-1)]
 
 with the binomial standard error sqrt((1 - E^2)/n).  Joint outcomes are
-indexed by (bit1_A, bit2_A, bit1_B, bit2_B) with bit +1 mapping to 0, so
+indexed by (bit1_A, bit2_A, bit1_B, bit2_B) like the basis in
+qstate.INDEX_BITS, with bit +1 mapping to 0, so
 
     outcome index = 8*i(bit1_A) + 4*i(bit2_A) + 2*i(bit1_B) + i(bit2_B).
 
@@ -37,7 +38,7 @@ from .observables import (
     CONTEXT_SYMBOLS,
 )
 from .apparatus import build_apparatus
-from .qstate import DIM, Party, mixed_expectation
+from .qstate import DIM, INDEX_BITS, Party, mixed_expectation
 from .source import _config_block, _config_float
 
 RNG_ALGORITHM = "philox4x64"
@@ -74,29 +75,20 @@ def context_pair(corr_id: str) -> ContextPair:
 
 
 # signed readout bits per outcome index, columns (bit1_A, bit2_A, bit1_B, bit2_B)
-OUTCOME_BITS = np.array(
-    [[1 - 2 * ((i >> b) & 1) for b in (3, 2, 1, 0)] for i in range(DIM)], dtype=int
-)
+OUTCOME_BITS = 1 - 2 * INDEX_BITS
 OUTCOME_BITS.setflags(write=False)
-
-
-def outcome_index(bit1_a: int, bit2_a: int, bit1_b: int, bit2_b: int) -> int:
-    idx = 0
-    for bit in (bit1_a, bit2_a, bit1_b, bit2_b):
-        idx = 2 * idx + (0 if bit > 0 else 1)
-    return idx
 
 
 @lru_cache(maxsize=None)
 def _joint_projectors(alice: Setting, bob: Setting) -> np.ndarray:
-    """(16, 16, 16) stack of joint outcome projectors for a setting pair."""
+    """(16, 16, 16) stack of joint outcome projectors for a setting pair.
+
+    build_apparatus sorts each party's outcomes by (bit1, bit2) with +1
+    first, so Alice-major order is the outcome index order.
+    """
     model_a = build_apparatus(Party.ALICE, alice)
     model_b = build_apparatus(Party.BOB, bob)
-    stack = np.zeros((DIM, DIM, DIM), dtype=complex)
-    for ch_a in model_a.outcomes:
-        for ch_b in model_b.outcomes:
-            idx = outcome_index(ch_a.bit1, ch_a.bit2, ch_b.bit1, ch_b.bit2)
-            stack[idx] = ch_a.projector @ ch_b.projector
+    stack = np.array([a.projector @ b.projector for a in model_a.outcomes for b in model_b.outcomes])
     stack.setflags(write=False)
     return stack
 
@@ -293,15 +285,17 @@ class ExperimentReport:
         return doc
 
 
+def _sigma_violation(bell: float, stderr: float) -> float:
+    """Standard errors by which bell exceeds the local-realistic bound 7."""
+    if stderr > 0.0:
+        return (bell - 7.0) / stderr
+    return math.inf if bell > 7.0 else (-math.inf if bell < 7.0 else math.nan)
+
+
 def _aggregate(estimates: list[CorrelationEstimate]) -> tuple[float, float, float]:
     bell = sum(c.sign * est.E for c, est in zip(CORRELATIONS, estimates))
-    var = sum(est.stderr ** 2 for est in estimates)
-    stderr = math.sqrt(var)
-    if stderr > 0.0:
-        sigma = (bell - 7.0) / stderr
-    else:
-        sigma = math.inf if bell > 7.0 else (-math.inf if bell < 7.0 else math.nan)
-    return bell, stderr, sigma
+    stderr = math.sqrt(sum(est.stderr ** 2 for est in estimates))
+    return bell, stderr, _sigma_violation(bell, stderr)
 
 
 def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentReport:
@@ -350,12 +344,11 @@ def predict_exact(rho: np.ndarray) -> ExperimentReport:
     hist = outcome_distribution(rho, context_pair("M"))
     signs = _statistic_signs("M")
     fidelity = float(hist[signs < 0].sum())
-    sigma = math.inf if bell > 7.0 else (-math.inf if bell < 7.0 else math.nan)
     return ExperimentReport(
         estimates=tuple(estimates),
         bell_value=bell,
         bell_stderr=0.0,
-        sigma_violation=sigma,
+        sigma_violation=_sigma_violation(bell, 0.0),
         m_fidelity=fidelity,
         m_histogram=tuple(float(x) for x in hist),
         seed=None,

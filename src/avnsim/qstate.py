@@ -8,8 +8,8 @@ R=0 / L=1 for path, and the computational index is
 
 so pol_A is the most significant bit.  Every other module (state
 construction, detection models, counting statistics) relies on this
-ordering; nothing here is sparse or clever, the dimension is tiny and
-clarity wins.
+ordering; INDEX_BITS below is the one table of it.  Nothing here is
+sparse or clever, the dimension is tiny and clarity wins.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from enum import Enum
 import numpy as np
 
 DIM = 16
+
+# row i holds the four bits of basis index i, columns (pol_A, path_A, pol_B, path_B)
+INDEX_BITS = (np.arange(DIM)[:, None] >> np.arange(3, -1, -1)) & 1
+INDEX_BITS.setflags(write=False)
 
 # tolerance ladder: algebraic identities vs derived spectral checks
 ATOL_ALGEBRA = 1e-12
@@ -60,8 +64,6 @@ class SubsystemSlot:
     def axis(self) -> int:
         return _SLOT_AXES[(self.party, self.dof)]
 
-
-SLOTS = tuple(SubsystemSlot(p, d) for (p, d) in _SLOT_AXES)
 
 # single-qubit kets in the fixed bases
 KET_H = np.array([1.0, 0.0], dtype=complex)

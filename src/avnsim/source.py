@@ -24,22 +24,13 @@ import numpy as np
 
 from . import qstate
 from .observables import CORRELATIONS, correlation_operator
-from .qstate import (
-    DIM,
-    KET_H,
-    KET_L,
-    KET_R,
-    KET_V,
-    assert_density_matrix,
-    mixed_expectation,
-    tensor4,
-)
+from .qstate import DIM, INDEX_BITS, assert_density_matrix, mixed_expectation
 
 
-def _canonical_phase(phi: float) -> float:
-    """Map a finite angle into [-pi, pi)."""
+def _canonical_phase(phi: float, where: str) -> float:
+    """Map a finite angle into [-pi, pi); where names the field in the error."""
     if not math.isfinite(phi):
-        raise ValueError("phase must be finite")
+        raise ValueError(f"{where} must be finite, got {phi}")
     return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
 
 
@@ -54,11 +45,13 @@ def _config_block(d, where: str, known) -> dict:
 
 
 def _config_float(value, where: str) -> float:
-    """A config number as a float; where names the field in the error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where} must be a number in float range, got {value!r:.40}") from None
+    """A JSON number (not a boolean or string) as a float; where names the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be a number in float range, got {value!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class SourceConfig:
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _canonical_phase(self.phi))
+        object.__setattr__(self, "phi", _canonical_phase(self.phi, "source.phi"))
 
     def to_dict(self) -> dict:
         return {"phi": self.phi}
@@ -88,9 +81,9 @@ class NoiseModel:
         for name in ("white_noise_weight", "pol_visibility", "path_visibility"):
             v = float(getattr(self, name))
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ValueError(f"noise.{name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "phase_offset", _canonical_phase(float(self.phase_offset)))
+        object.__setattr__(self, "phase_offset", _canonical_phase(float(self.phase_offset), "noise.phase_offset"))
 
     def to_dict(self) -> dict:
         return {
@@ -116,23 +109,20 @@ def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
     elif isinstance(config, (int, float)):
         config = SourceConfig(float(config))
     phase = np.exp(1j * config.phi)
-    psi = 0.5 * (
-        tensor4(KET_H, KET_R, KET_V, KET_L)
-        - phase * tensor4(KET_H, KET_L, KET_V, KET_R)
-        - tensor4(KET_V, KET_R, KET_H, KET_L)
-        + phase * tensor4(KET_V, KET_L, KET_H, KET_R)
-    )
+    psi = np.zeros(DIM, dtype=complex)
+    # |HRVL>, |HLVR>, |VRHL>, |VLHR> sit at indices 3, 6, 9 and 12
+    psi[[3, 6, 9, 12]] = 0.5 * np.array([1.0, -phase, -1.0, phase])
     return psi / np.linalg.norm(psi)
 
 
-# index bit layout used by the phase shift and the dephasing mask
-_BITS = np.array([[(i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1] for i in range(DIM)])
-_POL_MISMATCH = (_BITS[:, 0][:, None] != _BITS[:, 0][None, :]).astype(int) + (
-    _BITS[:, 2][:, None] != _BITS[:, 2][None, :]
-).astype(int)
-_PATH_MISMATCH = (_BITS[:, 1][:, None] != _BITS[:, 1][None, :]).astype(int) + (
-    _BITS[:, 3][:, None] != _BITS[:, 3][None, :]
-).astype(int)
+def _mismatch(columns) -> np.ndarray:
+    """Number of the given index bits in which row index and column index differ."""
+    return (INDEX_BITS[:, None, columns] != INDEX_BITS[None, :, columns]).sum(axis=2)
+
+
+# per-photon dephasing masks: polarization bits (0, 2) and path bits (1, 3)
+_POL_MISMATCH = _mismatch([0, 2])
+_PATH_MISMATCH = _mismatch([1, 3])
 _POL_MISMATCH.setflags(write=False)
 _PATH_MISMATCH.setflags(write=False)
 
@@ -152,7 +142,7 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     psi = qstate.assert_state(state)
     # phase on Alice's path qubit (index bit 1), as a matrix product: the
     # elementwise form rounds differently in the last digit of some documents
-    psi = np.diag(np.exp(1j * model.phase_offset * _BITS[:, 1])) @ psi
+    psi = np.diag(np.exp(1j * model.phase_offset * INDEX_BITS[:, 1])) @ psi
     rho = np.outer(psi, psi.conj())
     damp = (model.pol_visibility ** _POL_MISMATCH) * (model.path_visibility ** _PATH_MISMATCH)
     w = model.white_noise_weight

@@ -220,6 +220,12 @@ class TestErrors:
             ('{"schedule": {"overrides": {"ZZ": 5}}}', "schedule.overrides.ZZ"),
             ('{"noise": {"pol_visibility": null}}', "noise.pol_visibility"),
             ('{"schedule": {"pair_rate": null}}', "schedule.pair_rate"),
+            ('{"source": {"phi": true}}', "source.phi"),
+            ('{"noise": {"pol_visibility": "0.5"}}', "noise.pol_visibility"),
+            ('{"schedule": {"pair_rate": true}}', "schedule.pair_rate"),
+            ('{"noise": {"pol_visibility": 1e999999}}', "noise.pol_visibility"),
+            ('{"source": {"phi": NaN}}', "source.phi"),
+            ('{"noise": {"phase_offset": Infinity}}', "noise.phase_offset"),
         ],
     )
     def test_misshapen_config_exits_2_naming_the_field(self, command, literal, named, monkeypatch, capsys):

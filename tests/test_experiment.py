@@ -15,9 +15,11 @@ from avnsim.experiment import (
     run_schedule,
     sample_events,
     OUTCOME_BITS,
+    _joint_projectors,
 )
+from avnsim.apparatus import build_apparatus
 from avnsim.observables import CORRELATIONS, CORRELATION_IDS, Setting
-from avnsim.qstate import DIM, mixed_expectation
+from avnsim.qstate import DIM, Party, mixed_expectation
 from avnsim.source import NoiseModel, apply_noise, build_psi
 from avnsim import reference
 
@@ -63,6 +65,19 @@ class TestOutcomeDistribution:
         for pair in (context_pair("ZZ"), context_pair("M"), ContextPair(Setting.A, Setting.C)):
             dist = outcome_distribution(np.eye(DIM) / DIM, pair)
             assert np.allclose(dist, 1.0 / 16.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alice", list(Setting))
+@pytest.mark.parametrize("bob", list(Setting))
+def test_joint_projectors_equal_the_loop_placing_each_product_by_its_signed_bits(alice, bob):
+    stack = np.zeros((DIM, DIM, DIM), dtype=complex)
+    for ch_a in build_apparatus(Party.ALICE, alice).outcomes:
+        for ch_b in build_apparatus(Party.BOB, bob).outcomes:
+            idx = 0
+            for bit in (ch_a.bit1, ch_a.bit2, ch_b.bit1, ch_b.bit2):
+                idx = 2 * idx + (0 if bit > 0 else 1)
+            stack[idx] = ch_a.projector @ ch_b.projector
+    assert _joint_projectors(alice, bob).tobytes() == stack.tobytes()
 
 
 class TestSampleEvents:

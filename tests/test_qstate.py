@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from avnsim.cli import _bin_label
+from avnsim.experiment import OUTCOME_BITS
 from avnsim.qstate import (
     DIM,
+    INDEX_BITS,
     ConsistencyError,
     Dof,
     Party,
@@ -57,6 +62,21 @@ class TestTensor4:
     def test_rejects_unnormalized_factor(self):
         with pytest.raises(ValueError, match="not normalized"):
             tensor4(2.0 * KET_H, KET_R, KET_H, KET_R)
+
+
+class TestIndexBits:
+    def test_each_product_ket_sits_at_the_row_with_its_bits(self):
+        kets = ((KET_H, KET_V), (KET_R, KET_L), (KET_H, KET_V), (KET_R, KET_L))
+        for bits in itertools.product((0, 1), repeat=4):
+            psi = tensor4(*(pair[b] for pair, b in zip(kets, bits)))
+            (hit,) = np.flatnonzero(psi)
+            assert psi[hit] == 1.0
+            assert tuple(INDEX_BITS[hit]) == bits
+
+    def test_outcome_bits_and_histogram_labels_read_the_table(self):
+        assert np.array_equal(OUTCOME_BITS, 1 - 2 * INDEX_BITS)
+        for i in range(DIM):
+            assert _bin_label(i) == "".join("+" if b > 0 else "-" for b in OUTCOME_BITS[i])
 
 
 class TestLiftLocal:

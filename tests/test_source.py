@@ -42,6 +42,21 @@ class TestBuildPsi:
         assert psi[6] == pytest.approx(+0.5)
         assert psi[12] == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize(
+        "phi",
+        [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e-3]
+        + [float(x) for x in np.random.default_rng(5).uniform(-2 * math.pi, 2 * math.pi, 20)],
+    )
+    def test_four_amplitudes_equal_the_normalised_four_ket_sum_bitwise(self, phi):
+        phase = np.exp(1j * SourceConfig(phi).phi)
+        oracle = 0.5 * (
+            tensor4(KET_H, KET_R, KET_V, KET_L)
+            - phase * tensor4(KET_H, KET_L, KET_V, KET_R)
+            - tensor4(KET_V, KET_R, KET_H, KET_L)
+            + phase * tensor4(KET_V, KET_L, KET_H, KET_R)
+        )
+        assert build_psi(phi).tobytes() == (oracle / np.linalg.norm(oracle)).tobytes()
+
     def test_path_zz_anticorrelation_is_phase_independent(self):
         op = correlation_operator("Z'Z'")
         for phi in (-2.9, -1.0, 0.3, 1.7, 3.1):
