@@ -14,10 +14,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import lhv, reference
 from .experiment import Schedule, check_seed, predict_exact, run_schedule
@@ -60,9 +59,9 @@ def to_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -109,8 +108,7 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
             f"{row['id']:<10} {row['sign']:>+4d} {row['E']:>12.8f} {row['stderr']:>12.8f} {row['n']:>8d}"
         )
     for key in ("bell_value", "bell_stderr", "sigma_violation", "m_fidelity"):
-        value = doc[key]
-        lines.append(f"{key} = {'inf' if value is None else format(value, '.8f')}")
+        lines.append(f"{key} = {doc[key]:.8f}")
     lines.append("")
     if lr_panel is not None:
         lines.extend(render_histogram("M outcomes, LR prediction", lr_panel))
@@ -142,7 +140,10 @@ def load_config(path: str | None) -> dict:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    doc = json.loads(raw)
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise ValueError("config document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("config document must be a JSON object")
     return doc

@@ -8,9 +8,10 @@ the nine perfect quantum correlations forces nine multiplicative
 constraints on the twelve values, read from observables.CORRELATIONS
 (factor symbols and predicted sign); this module audits all 2^12
 assignments through one exact int8 table of constraint products and
-certifies that the constraint system is contradictory (every symbol
-appears an even number of times across the nine left-hand sides, so their
-product is +1, while the required signs multiply to -1).
+certifies that the constraint system is contradictory by a GF(2) rank
+test (every symbol appears an even number of times across the nine
+left-hand sides, so their product is +1, while the required signs
+multiply to -1: no assignment meets all nine).
 
 Everything here is exact integer arithmetic; no floating point touches
 the certificate.
@@ -181,19 +182,27 @@ def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
 def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
     """True when the constraint system is algebraically contradictory.
 
-    Multiplying all left-hand sides cancels every symbol (each appears an
-    even number of times), so the product of the left-hand sides is
-    identically +1; if the required signs multiply to -1 no assignment can
-    satisfy the whole system.
+    Writing each value as (-1)^bit, constraint k is the GF(2) equation
+    "the bits of its symbols sum to its sign bit".  Gaussian elimination
+    over the rows [A|b] finds a row reduced to 0 = 1 exactly when
+    rank [A|b] > rank A, i.e. when no assignment satisfies every row.
     """
-    counts: dict[str, int] = {}
-    sign = 1
+    sign_bit = 1 << len(SYMBOLS)
+    lhs = sign_bit - 1
+    pivots: dict[int, int] = {}  # leading symbol bit -> reduced row
     for c in constraints:
-        sign *= c.required
+        row = sign_bit if c.required == -1 else 0
         for s in c.symbols:
-            counts[s] = counts.get(s, 0) + 1
-    all_even = all(v % 2 == 0 for v in counts.values())
-    return all_even and sign == -1
+            row ^= 1 << _SYMBOL_INDEX[s]
+        while row & lhs:
+            lead = (row & lhs).bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+        if row == sign_bit:  # reduced to 0 = 1
+            return True
+    return False
 
 
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:

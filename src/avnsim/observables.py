@@ -159,10 +159,6 @@ CORRELATIONS: tuple[Correlation, ...] = (
 CORRELATION_IDS: tuple[str, ...] = tuple(c.id for c in CORRELATIONS)
 CORRELATION_BY_ID: dict[str, Correlation] = {c.id: c for c in CORRELATIONS}
 
-# coefficients of the Bell sum; they coincide with the predicted signs, so
-# every term rewards agreement with the quantum prediction by +1
-BELL_SIGNS: tuple[int, ...] = tuple(c.sign for c in CORRELATIONS)
-
 
 def _as_correlation(corr: Correlation | str) -> Correlation:
     if isinstance(corr, Correlation):

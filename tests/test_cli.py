@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +22,12 @@ def run_cli(args, tmp_path, name="out.json"):
     return code, out.read_text(encoding="utf-8")
 
 
-def run_subprocess(args, config_path=None):
+def run_subprocess(args, config_path=None, stdin=None):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     cmd = [sys.executable, "-m", "avnsim"] + list(args)
     if config_path is not None:
         cmd += ["--config", str(config_path)]
-    return subprocess.run(cmd, capture_output=True, env=env)
+    return subprocess.run(cmd, input=stdin, capture_output=True, env=env)
 
 
 class TestPredict:
@@ -234,6 +235,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"avnsim: error: {named} ")
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_over_deep_config_exits_2(self, depth):
+        proc = run_subprocess(["predict", "--config", "-"], stdin=b"[" * depth + b"]" * depth)
+        assert proc.returncode == 2
+        assert proc.stderr == b"avnsim: error: config document nests too deeply\n"
+
     def test_unknown_format_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["predict", "--format", "yaml"])
@@ -246,6 +253,10 @@ def test_json_serializer_full_precision():
     assert json.loads(emitted)["x"] == value
     assert "0.30000000000000004" in emitted
     assert to_json({"nan": float("nan"), "inf": float("inf")}) == '{\n  "nan": null,\n  "inf": null\n}'
+
+
+def test_json_serializer_accepts_numpy_scalars():
+    assert to_json([np.int64(3), np.float32(0.5), np.float64(0.1)]) == to_json([3, 0.5, 0.1])
 
 
 _JSON_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from avnsim.observables import local_observable
 from avnsim.lhv import (
     CONSTRAINTS,
     SYMBOLS,
+    Constraint,
     assignment_from_dict,
     avn_audit,
     bell_quantity,
@@ -147,6 +149,26 @@ class TestParityWitness:
             audit = avn_audit(reduced)
             assert audit.max_satisfied == len(reduced)
             assert audit.all_nine_count == 16  # count of assignments meeting all 8
+
+    def test_contradiction_with_a_symbol_seen_once(self):
+        # zA = +1 and zA = -1 already clash; xA appears once, so a parity
+        # count over all symbols misses it
+        system = (Constraint(1, ("zA",), 1), Constraint(2, ("zA",), -1), Constraint(3, ("xA",), 1))
+        assert avn_audit(system).all_nine_count == 0
+        assert parity_witness(system) is True
+
+    def test_agrees_with_enumeration_on_random_systems(self):
+        rng = random.Random(20260)
+        outcomes = set()
+        for _ in range(300):
+            system = tuple(
+                Constraint(k, tuple(rng.sample(SYMBOLS, rng.randint(1, 4))), rng.choice((1, -1)))
+                for k in range(1, rng.randint(2, 14))
+            )
+            contradictory = avn_audit(system).all_nine_count == 0
+            assert parity_witness(system) is contradictory, system
+            outcomes.add(contradictory)
+        assert outcomes == {True, False}
 
 
 class TestLrMHistogram:
