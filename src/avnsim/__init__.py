@@ -8,6 +8,30 @@ models the linear-optics measurement devices, and reproduces the
 published counting statistics by seeded Monte Carlo simulation.
 """
 
-# eager so every module is in sys.modules: the benchmark's tracer patches
-# modules found there (ROADMAP item 1 removes that need)
-from . import apparatus, cli, experiment, lhv, observables, qstate, reference, source
+import importlib.util as _util
+import sys as _sys
+
+
+def _load_on_first_use(name: str):
+    """Bind and register submodule `name`, but run its code at its first attribute access.
+
+    Every module is in sys.modules and on the package from the start, as an
+    eager import would leave it, yet `avnsim lhv` never pays for the numpy
+    import that only the quantum modules need.
+    """
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+apparatus = _load_on_first_use("apparatus")
+cli = _load_on_first_use("cli")
+experiment = _load_on_first_use("experiment")
+lhv = _load_on_first_use("lhv")
+observables = _load_on_first_use("observables")
+qstate = _load_on_first_use("qstate")
+reference = _load_on_first_use("reference")
+source = _load_on_first_use("source")

@@ -18,10 +18,9 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from . import lhv, reference
-from .experiment import Schedule, check_seed, predict_exact, run_schedule
-from .qstate import INDEX_BITS
-from .source import NoiseModel, SourceConfig, apply_noise, build_psi
+# modules are read at call time, so `avnsim lhv` never loads source or
+# experiment, and with them numpy
+from . import experiment, lhv, reference, source
 
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "text")
@@ -86,14 +85,15 @@ BAR_WIDTH = 40
 
 
 def _bin_label(idx: int) -> str:
-    return "".join("+-"[bit] for bit in INDEX_BITS[idx])
+    """Signs of the four bits of basis index idx, most significant first (qstate.INDEX_BITS)."""
+    return "".join("+-"[idx >> shift & 1] for shift in (3, 2, 1, 0))
 
 
 def render_histogram(title: str, bins) -> list[str]:
     lines = [title]
     peak = max(bins) if max(bins) > 0 else 1.0
     for idx, value in enumerate(bins):
-        bar = "#" * int(round(BAR_WIDTH * value / peak))
+        bar = "" if math.isnan(value) else "#" * int(round(BAR_WIDTH * value / peak))
         lines.append(f"  {_bin_label(idx)}  {value:10.6f}  {bar}")
     return lines
 
@@ -125,9 +125,9 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    source: SourceConfig
-    noise: NoiseModel
-    schedule: Schedule
+    source: source.SourceConfig
+    noise: source.NoiseModel
+    schedule: experiment.Schedule
     seed: int
     output_format: str
 
@@ -159,29 +159,29 @@ def build_run_config(raw: dict, args: argparse.Namespace) -> RunConfig:
         raise ValueError("seed must be an integer")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    check_seed(seed)
+    experiment.check_seed(seed)
     output_format = raw.get("output_format", "json")
     if getattr(args, "format", None) is not None:
         output_format = args.format
     if output_format not in FORMATS:
         raise ValueError(f"output_format must be one of {FORMATS}")
     return RunConfig(
-        source=SourceConfig.from_dict(raw.get("source", {})),
-        noise=NoiseModel.from_dict(raw.get("noise", {})),
-        schedule=Schedule.from_dict(raw.get("schedule", {})),
+        source=source.SourceConfig.from_dict(raw.get("source", {})),
+        noise=source.NoiseModel.from_dict(raw.get("noise", {})),
+        schedule=experiment.Schedule.from_dict(raw.get("schedule", {})),
         seed=seed,
         output_format=output_format,
     )
 
 
 def _density_matrix(config: RunConfig):
-    return apply_noise(build_psi(config.source), config.noise)
+    return source.apply_noise(source.build_psi(config.source), config.noise)
 
 
 # ----------------------------------------------------------------- commands
 
 def cmd_predict(config: RunConfig) -> tuple[str, int]:
-    report = predict_exact(_density_matrix(config))
+    report = experiment.predict_exact(_density_matrix(config))
     doc = report.to_dict()
     if config.output_format == "csv":
         return report_csv(doc), 0
@@ -192,12 +192,12 @@ def cmd_predict(config: RunConfig) -> tuple[str, int]:
 
 def cmd_simulate(config: RunConfig) -> tuple[str, int]:
     rho = _density_matrix(config)
-    report = run_schedule(rho, config.schedule, config.seed)
+    report = experiment.run_schedule(rho, config.schedule, config.seed)
     doc = report.to_dict()
     if config.output_format == "csv":
         return report_csv(doc), 0
     if config.output_format == "text":
-        exact = predict_exact(rho)
+        exact = experiment.predict_exact(rho)
         return report_text(doc, lr_panel=lhv.lr_m_histogram(), qm_panel=exact.m_histogram), 0
     return to_json(doc) + "\n", 0
 
@@ -229,10 +229,10 @@ def cmd_lhv(output_format: str) -> tuple[str, int]:
 
 def _reproduce_document(seed: int) -> dict:
     fit = reference.fitted_noise()
-    rho = apply_noise(build_psi(0.0), fit.model)
-    exact_fitted = predict_exact(rho)
-    exact_ideal = predict_exact(apply_noise(build_psi(0.0), NoiseModel()))
-    simulated = run_schedule(rho, reference.matched_schedule(), seed)
+    rho = source.apply_noise(source.build_psi(0.0), fit.model)
+    exact_fitted = experiment.predict_exact(rho)
+    exact_ideal = experiment.predict_exact(source.apply_noise(source.build_psi(0.0), source.NoiseModel()))
+    simulated = experiment.run_schedule(rho, reference.matched_schedule(), seed)
 
     rows = []
     all_pass = True
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             fmt = args.format or "json"
             if fmt == "csv":
                 raise ValueError("the comparison document has no CSV form; use json or text")
-            seed = check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
+            seed = experiment.check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
             payload, code = cmd_reproduce_paper(seed, fmt)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"avnsim: error: {exc}", file=sys.stderr)

@@ -303,14 +303,22 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
 
     Event counts are Poisson around rate*duration; each correlation uses
     its own (seed, index) Philox stream, so identical inputs give
-    bit-identical reports regardless of evaluation order.
+    bit-identical reports regardless of evaluation order.  A correlation
+    that draws no events reports E and stderr as NaN, and so do the Bell
+    value, its stderr and sigma (any row) and the M fidelity and
+    histogram (the M row).
     """
     estimates = []
-    m_histogram: tuple[float, ...] | None = None
+    m_histogram = (math.nan,) * DIM
     m_fidelity = math.nan
     for idx, corr in enumerate(CORRELATIONS):
         rng = _stream(seed, idx)
         n = int(rng.poisson(schedule.mean_counts(corr.id)))
+        if n == 0:
+            # nothing counted: the row and every aggregate that reads it are
+            # undefined, NaN here and null in the documents
+            estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
+            continue
         dist = outcome_distribution(rho, context_pair(corr.id))
         table = _draw_counts(rng, dist, n)
         estimates.append(estimate_correlation(table, corr))

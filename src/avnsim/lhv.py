@@ -5,16 +5,16 @@ product variables (zAzA', xAxA', zBxB', xBzB') are independent symbols:
 nowhere is m(zAzA') = m(zA) * m(zA') assumed, because each product is read
 out by its own device and never together with its factors.  Reproducing
 the nine perfect quantum correlations forces nine multiplicative
-constraints on the twelve values, read from observables.CORRELATIONS
+constraints on the twelve values, read from the nine CORRELATIONS
 (factor symbols and predicted sign); this module audits all 2^12
-assignments through one exact int8 table of constraint products and
+assignments through one table of signed constraint products and
 certifies that the constraint system is contradictory by a GF(2) rank
 test (every symbol appears an even number of times across the nine
 left-hand sides, so their product is +1, while the required signs
 multiply to -1: no assignment meets all nine).
 
-Everything here is exact integer arithmetic; no floating point touches
-the certificate.
+Everything here is exact integer arithmetic in plain Python; no floating
+point touches the certificate, and the module does not import numpy.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .observables import CORRELATION_IDS, CORRELATIONS
+from ._tables import CORRELATION_IDS, CORRELATIONS
 
 SYMBOLS: tuple[str, ...] = (
     "zA",
@@ -96,28 +94,38 @@ def enumerate_assignments() -> Iterator[Assignment]:
     return itertools.product((1, -1), repeat=len(SYMBOLS))
 
 
-@lru_cache(maxsize=None)
-def _sign_matrix() -> np.ndarray:
-    """Read-only int8 (4096, 12) matrix of all assignments, rows in enumerate_assignments() order."""
-    shifts = np.arange(len(SYMBOLS) - 1, -1, -1, dtype=np.int16)
-    bits = (np.arange(2 ** len(SYMBOLS), dtype=np.int16)[:, None] >> shifts) & 1
-    signs = (1 - 2 * bits).astype(np.int8)
-    signs.setflags(write=False)
-    return signs
+# +1 <-> -1 on a column of signed bytes (-1 is stored as 0xFF)
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
 
-def _audit_table(constraints: Sequence[Constraint]) -> tuple[np.ndarray, np.ndarray]:
-    """Satisfied count and Bell quantity of every assignment, in _sign_matrix() row order.
+@lru_cache
+def _audit_table(constraints: tuple[Constraint, ...]) -> tuple[bytes, tuple[int, ...]]:
+    """Satisfied count and Bell quantity of every assignment, in enumerate_assignments() order.
 
-    The (4096, n) table of constraint products is int8, which is exact:
-    every entry is a product of +-1 values.
+    Column k holds required_k times constraint k's product on every
+    assignment, as signed bytes: +1 where the assignment meets the
+    constraint, -1 where it does not.  Starting from the all-+1
+    assignment, each symbol from the last to the first doubles the
+    column, negating the new half when the symbol is a factor an odd
+    number of times (a symbol listed twice cancels, as its two values
+    do).  Counting the +1 entries of a row and summing the row are two
+    exact integer reductions of the same table.
     """
-    signs = _sign_matrix()
-    products = np.ones((len(signs), len(constraints)), dtype=np.int8)
-    for k, c in enumerate(constraints):
-        products[:, k] = signs[:, [_SYMBOL_INDEX[s] for s in c.symbols]].prod(axis=1, dtype=np.int8)
-    required = np.array([c.required for c in constraints], dtype=np.int8)
-    return (products == required).sum(axis=1), (products * required).sum(axis=1)
+    # the zero column keeps 4096 rows when there is no constraint and adds nothing
+    columns = [bytes(2 ** len(SYMBOLS))]
+    for c in constraints:
+        column = bytes([c.required & 0xFF])
+        for symbol in reversed(SYMBOLS):
+            column += column.translate(_NEGATE) if c.symbols.count(symbol) % 2 else column
+        columns.append(memoryview(column).cast("b"))
+    satisfied = bytes(map(tuple.count, zip(*columns), itertools.repeat(1)))
+    return satisfied, tuple(map(sum, zip(*columns)))
+
+
+def _assignment(row: int) -> Assignment:
+    """Row `row` of enumerate_assignments(): symbol 0 is the most significant bit, 1 means -1."""
+    last = len(SYMBOLS) - 1
+    return tuple(-1 if row >> (last - i) & 1 else 1 for i in range(len(SYMBOLS)))
 
 
 def _constraint_product(assignment: Assignment, constraint: Constraint) -> int:
@@ -154,7 +162,8 @@ class AvnAudit:
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
     n = len(constraints)
-    histogram = np.bincount(_audit_table(constraints)[0], minlength=n + 1).tolist()
+    satisfied = _audit_table(tuple(constraints))[0]
+    histogram = [satisfied.count(k) for k in range(n + 1)]
     max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
     return AvnAudit(
         all_nine_count=histogram[n],
@@ -173,10 +182,10 @@ class LrBound:
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    values = _audit_table(constraints)[1]
-    best = int(values.max())
-    argmax = tuple(map(tuple, _sign_matrix()[values == best].tolist()))
-    return LrBound(max_value=best, min_value=int(values.min()), argmax_assignments=argmax)
+    values = _audit_table(tuple(constraints))[1]
+    best = max(values)
+    argmax = tuple(_assignment(row) for row, value in enumerate(values) if value == best)
+    return LrBound(max_value=best, min_value=min(values), argmax_assignments=argmax)
 
 
 def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
@@ -208,8 +217,8 @@ def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:
     """Assignments reproducing the eight non-M perfect correlations."""
     non_m = without_constraint(_M_CONSTRAINT.index)
-    admissible = _audit_table(non_m)[0] == len(non_m)
-    return tuple(map(tuple, _sign_matrix()[admissible].tolist()))
+    satisfied = _audit_table(non_m)[0]
+    return tuple(_assignment(row) for row, k in enumerate(satisfied) if k == len(non_m))
 
 
 def lr_m_histogram() -> tuple[float, ...]:
@@ -221,9 +230,10 @@ def lr_m_histogram() -> tuple[float, ...]:
     module).  The support sits entirely on even-product outcomes, the
     exact complement of the quantum prediction.
     """
-    admissible = np.array(non_m_satisfying_assignments())
-    minus = admissible[:, [_SYMBOL_INDEX[s] for s in _M_SYMBOLS]] < 0
-    counts = np.bincount(minus @ np.array([8, 4, 2, 1]), minlength=16).tolist()
+    admissible = non_m_satisfying_assignments()
+    counts = [0] * 16
+    for a in admissible:
+        counts[sum(8 >> j for j, s in enumerate(_M_SYMBOLS) if value_of(a, s) < 0)] += 1
     return tuple(c / len(admissible) for c in counts)
 
 
@@ -233,7 +243,7 @@ def certificate() -> dict:
     bound = lr_bound()
     witness = parity_witness()
     satisfied, values = _audit_table(CONSTRAINTS)
-    identity_ok = bool(np.array_equal(values, 2 * satisfied - 9))
+    identity_ok = all(value == 2 * k - 9 for k, value in zip(satisfied, values))
     checks = {
         "no_assignment_satisfies_all_nine": audit.all_nine_count == 0,
         "max_satisfied_is_eight": audit.max_satisfied == 8,

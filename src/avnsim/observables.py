@@ -6,9 +6,11 @@ bases) and z', x' act on path (R/L and +/- bases).  The observables are
 arranged in three fixed device settings per party; a setting exposes two
 commuting generators that are read out together, plus their product.
 
-The symbol strings defined here ("zA", "xA'", "zBxB'", ...) are the single
-naming scheme shared with the hidden-variable audit and the counting
-simulation, so constraint tables and event schemas line up everywhere.
+The symbol strings ("zA", "xA'", "zBxB'", ...) are the single naming
+scheme shared with the hidden-variable audit and the counting simulation,
+so constraint tables and event schemas line up everywhere.  The nine
+correlations that name them live in the numpy-free _tables module and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._tables import CORRELATION_BY_ID, CORRELATION_IDS, CORRELATIONS, Correlation
 from .qstate import (
     ATOL_ALGEBRA,
     DIM,
@@ -119,45 +122,6 @@ def context(party: Party, setting: Setting) -> MeasurementContext:
             raise ConsistencyError(f"context member of {party.value}/{setting.value} is not dichotomic")
     product.setflags(write=False)
     return MeasurementContext(party, setting, g1, g2, product, labels)
-
-
-@dataclass(frozen=True)
-class Correlation:
-    """One of the nine perfect-correlation relations.
-
-    sign is the predicted eigenvalue of the operator product on the ideal
-    state; factors lists the locally measured symbols whose readout bits
-    multiply to the correlation statistic.
-    """
-
-    id: str
-    sign: int
-    factors: tuple[tuple[Party, str], ...]
-
-
-CORRELATIONS: tuple[Correlation, ...] = (
-    Correlation("ZZ", -1, ((Party.ALICE, "zA"), (Party.BOB, "zB"))),
-    Correlation("Z'Z'", -1, ((Party.ALICE, "zA'"), (Party.BOB, "zB'"))),
-    Correlation("XX", -1, ((Party.ALICE, "xA"), (Party.BOB, "xB"))),
-    Correlation("X'X'", -1, ((Party.ALICE, "xA'"), (Party.BOB, "xB'"))),
-    Correlation("ZZ'-Z-Z'", +1, ((Party.ALICE, "zAzA'"), (Party.BOB, "zB"), (Party.BOB, "zB'"))),
-    Correlation("XX'-X-X'", +1, ((Party.ALICE, "xAxA'"), (Party.BOB, "xB"), (Party.BOB, "xB'"))),
-    Correlation("Z-X'-ZX'", +1, ((Party.ALICE, "zA"), (Party.ALICE, "xA'"), (Party.BOB, "zBxB'"))),
-    Correlation("X-Z'-XZ'", +1, ((Party.ALICE, "xA"), (Party.ALICE, "zA'"), (Party.BOB, "xBzB'"))),
-    Correlation(
-        "M",
-        -1,
-        (
-            (Party.ALICE, "zAzA'"),
-            (Party.ALICE, "xAxA'"),
-            (Party.BOB, "zBxB'"),
-            (Party.BOB, "xBzB'"),
-        ),
-    ),
-)
-
-CORRELATION_IDS: tuple[str, ...] = tuple(c.id for c in CORRELATIONS)
-CORRELATION_BY_ID: dict[str, Correlation] = {c.id: c for c in CORRELATIONS}
 
 
 def _as_correlation(corr: Correlation | str) -> Correlation:

@@ -19,6 +19,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._tables import Party
+
 DIM = 16
 
 # row i holds the four bits of basis index i, columns (pol_A, path_A, pol_B, path_B)
@@ -33,11 +35,6 @@ ATOL_INPUT = 1e-9
 
 class ConsistencyError(RuntimeError):
     """An internal numerical identity failed beyond tolerance."""
-
-
-class Party(Enum):
-    ALICE = "Alice"
-    BOB = "Bob"
 
 
 class Dof(Enum):

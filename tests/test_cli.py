@@ -137,6 +137,34 @@ class TestSimulate:
         assert first.stdout == second.stdout
         assert len(first.stdout) > 0
 
+    # at a mean of 2 pairs, seed 0 counts no ZZ event and seed 6 no M event
+    @pytest.mark.parametrize("seed, empty", [(0, "ZZ"), (6, "M")])
+    def test_a_correlation_without_events_is_null_and_the_run_succeeds(self, tmp_path, seed, empty):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schedule": {"pair_rate": 2}}))
+        args = ["simulate", "--config", str(config), "--seed", str(seed)]
+        code, text = run_cli(args, tmp_path)
+        assert code == 0
+        doc = json.loads(text)
+        rows = {row["id"]: row for row in doc["correlations"]}
+        assert (rows[empty]["E"], rows[empty]["stderr"], rows[empty]["n"]) == (None, None, 0)
+        assert all(row["n"] > 0 and row["E"] is not None for cid, row in rows.items() if cid != empty)
+        assert doc["bell_value"] is None and doc["bell_stderr"] is None and doc["sigma_violation"] is None
+        if empty == "M":
+            assert doc["m_fidelity"] is None
+            assert doc["m_histogram"] == [None] * 16
+        else:
+            assert doc["m_fidelity"] is not None
+            assert sum(doc["m_histogram"]) == pytest.approx(1.0)
+        code, text = run_cli(args + ["--format", "csv"], tmp_path, "out.csv")
+        assert code == 0
+        assert f"{empty},-1,null,null,0" in text.splitlines()
+        assert "bell_value,,null,," in text.splitlines()
+        code, text = run_cli(args + ["--format", "text"], tmp_path, "out.txt")
+        assert code == 0
+        assert "bell_value = nan" in text
+        assert text.rstrip().splitlines()[-16].startswith("  ++++  ")
+
 
 class TestReproducePaper:
     def test_document_rows_and_exit_code(self, tmp_path):

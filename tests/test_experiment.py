@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avnsim.experiment import (
     POISSON_LAM_MAX,
@@ -16,11 +17,12 @@ from avnsim.experiment import (
     sample_events,
     OUTCOME_BITS,
     _joint_projectors,
+    _statistic_signs,
 )
 from avnsim.apparatus import build_apparatus
 from avnsim.observables import CORRELATIONS, CORRELATION_IDS, Setting
 from avnsim.qstate import DIM, Party, mixed_expectation
-from avnsim.source import NoiseModel, apply_noise, build_psi
+from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 from avnsim import reference
 
 PSI = build_psi(0.0)
@@ -78,6 +80,26 @@ def test_joint_projectors_equal_the_loop_placing_each_product_by_its_signed_bits
                 idx = 2 * idx + (0 if bit > 0 else 1)
             stack[idx] = ch_a.projector @ ch_b.projector
     assert _joint_projectors(alice, bob).tobytes() == stack.tobytes()
+
+
+_UNIT = st.floats(0.0, 1.0)
+_ANGLE = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=_ANGLE, w=_UNIT, vp=_UNIT, vq=_UNIT, delta=_ANGLE)
+def test_apparatus_statistics_equal_the_operator_expectations_on_mixed_states(phi, w, vp, vq, delta):
+    # ties the device projectors to the correlation operators away from the pure state
+    rho = apply_noise(build_psi(SourceConfig(phi)), NoiseModel(w, vp, vq, delta))
+    for alice in Setting:
+        for bob in Setting:
+            p = outcome_distribution(rho, ContextPair(alice, bob))
+            assert p.min() >= 0.0
+            assert abs(p.sum() - 1.0) <= 1e-12
+    exact = predict_exact(rho)
+    for cid in CORRELATION_IDS:
+        p = outcome_distribution(rho, context_pair(cid))
+        assert abs(float(_statistic_signs(cid) @ p) - exact.estimate(cid).E) <= 1e-12
 
 
 class TestSampleEvents:

@@ -235,6 +235,22 @@ def test_product_table_equals_the_assignment_loop(constraints):
     assert bound.argmax_assignments == argmax
 
 
+def test_product_table_equals_the_assignment_loop_with_repeated_or_no_symbols():
+    # a symbol listed twice cancels, since its value squares to +1
+    rng = random.Random(8)
+    systems = [(), (Constraint(1, ("zA", "zA"), -1),)]
+    for _ in range(8):
+        systems.append(tuple(
+            Constraint(k, tuple(rng.choices(SYMBOLS[:4], k=rng.randint(2, 5))), rng.choice((1, -1)))
+            for k in range(1, 5)
+        ))
+    for system in systems:
+        histogram, best, worst, argmax = _loop_reference(system)
+        assert avn_audit(system).histogram == histogram, system
+        bound = lr_bound(system)
+        assert (bound.max_value, bound.min_value, bound.argmax_assignments) == (best, worst, argmax), system
+
+
 def test_non_m_assignments_equal_the_assignment_loop():
     non_m = without_constraint(9)
     expected = tuple(

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 MODULES = ["apparatus", "cli", "experiment", "lhv", "observables", "qstate", "reference", "source"]
@@ -22,3 +24,41 @@ def test_root_exports_only_the_modules_and_loads_each():
     public, loaded = map(json.loads, proc.stdout.splitlines())
     assert public == MODULES
     assert {f"avnsim.{name}" for name in MODULES} <= set(loaded)
+
+
+BARE_IMPORT_PROBE = """
+import json
+import sys
+import avnsim
+numpy_loaded = "numpy" in sys.modules
+from avnsim import observables, qstate
+print(json.dumps([numpy_loaded, [name for name in sys.modules if name.startswith("avnsim.")], qstate.Party is observables.Party]))
+"""
+
+# numpy set to None in sys.modules makes every `import numpy` raise ImportError
+NO_NUMPY_MAIN = """
+import sys
+sys.modules["numpy"] = None
+from avnsim.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_bare_import_loads_no_numpy_and_registers_each_module():
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", BARE_IMPORT_PROBE], capture_output=True, env=env, text=True, check=True)
+    numpy_loaded, loaded, same_party = json.loads(proc.stdout)
+    assert not numpy_loaded
+    assert {f"avnsim.{name}" for name in MODULES} <= set(loaded)
+    assert same_party
+
+
+@pytest.mark.parametrize("args", [["lhv"], ["lhv", "--format", "text"]])
+def test_lhv_certificate_runs_without_numpy(args):
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    blocked = subprocess.run([sys.executable, "-c", NO_NUMPY_MAIN, *args], capture_output=True, env=env)
+    normal = subprocess.run([sys.executable, "-m", "avnsim", *args], capture_output=True, env=env)
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert normal.returncode == 0
+    assert blocked.stdout == normal.stdout
+    assert blocked.stderr == b""
