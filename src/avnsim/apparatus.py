@@ -42,7 +42,8 @@ def bs_transform() -> np.ndarray:
     """Beam splitter on the path qubit: R -> |+>_path, L -> |->_path.
 
     Real Hadamard form, hence self-inverse; physical reflection phases are
-    absorbed into the port labels.
+    absorbed into the port labels.  On the polarization qubit the same
+    matrix maps the +/- analyzer basis onto H/V.
     """
     return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -104,9 +105,6 @@ class DetectionModel:
         return p
 
 
-_HAD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
 def _device_recipe(party: Party, setting: Setting):
     """4x4 device unitary and detector-bit labelers.
 
@@ -118,7 +116,7 @@ def _device_recipe(party: Party, setting: Setting):
     if setting is Setting.A:
         if party is Party.ALICE:
             # read path directly (z'), analyze polarization at +/-45 (x)
-            unitary = np.kron(_HAD, ID2)
+            unitary = np.kron(bs_transform(), ID2)
             bit1 = lambda p, q: +1 if q == 0 else -1  # z'A from the path
             bit2 = lambda p, q: +1 if p == 0 else -1  # xA from the analyzer
         else:
@@ -133,13 +131,13 @@ def _device_recipe(party: Party, setting: Setting):
             bit1 = lambda p, q: +1 if p == 0 else -1  # zA
             bit2 = lambda p, q: +1 if q == 0 else -1  # xA' from the port
         else:
-            unitary = np.kron(_HAD, bs_transform())
+            unitary = np.kron(bs_transform(), bs_transform())
             bit1 = lambda p, q: +1 if p == 0 else -1  # xB
             bit2 = lambda p, q: +1 if q == 0 else -1  # xB'
     else:
         hwp_angle = 0.0 if party is Party.ALICE else math.pi / 8.0
         hwp = hwp_transform(hwp_angle)
-        unitary = np.kron(_HAD, ID2) @ pbs_merge() @ np.kron(hwp, ID2)
+        unitary = np.kron(bs_transform(), ID2) @ pbs_merge() @ np.kron(hwp, ID2)
         if party is Party.ALICE:
             # port R'' collects H-from-L and V-from-R, both zAzA' = -1;
             # the horizontal-axis HWP flips the sign of V, which lands the

@@ -385,10 +385,10 @@ def main(argv=None) -> int:
                 raise ValueError("the comparison document has no CSV form; use json or text")
             seed = experiment.check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
             payload, code = cmd_reproduce_paper(seed, fmt)
+        _emit(payload, args.out)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"avnsim: error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
     return code
 
 

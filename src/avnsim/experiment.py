@@ -155,9 +155,7 @@ def _stream(seed: int, stream_index: int) -> np.random.Generator:
 
 
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
-    p = np.clip(np.asarray(dist, dtype=float), 0.0, None)
-    p = p / p.sum()
-    counts = rng.multinomial(n, p) if n > 0 else np.zeros(DIM, dtype=int)
+    counts = rng.multinomial(n, dist / dist.sum()) if n > 0 else np.zeros(DIM, dtype=int)
     return CountTable(tuple(int(c) for c in counts), int(n))
 
 
@@ -165,7 +163,11 @@ def sample_events(dist, n: int, seed: int) -> CountTable:
     """Multinomial sample of n events, deterministic for a given seed."""
     if n < 0:
         raise ValueError("sample size must be non-negative")
-    return _draw_counts(_stream(seed, 0), np.asarray(dist, dtype=float), n)
+    p = np.asarray(dist, dtype=float)
+    weights = p.shape == (DIM,) and np.isfinite(p).all() and p.min() >= 0.0
+    if not (weights and 0.0 < sum(p.tolist()) < math.inf):  # a Python sum overflows without a warning
+        raise ValueError(f"dist must be {DIM} finite, non-negative weights with a positive finite sum")
+    return _draw_counts(_stream(seed, 0), p, n)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ nowhere is m(zAzA') = m(zA) * m(zA') assumed, because each product is read
 out by its own device and never together with its factors.  Reproducing
 the nine perfect quantum correlations forces nine multiplicative
 constraints on the twelve values, read from the nine CORRELATIONS
-(factor symbols and predicted sign); this module audits all 2^12
-assignments through one table of signed constraint products and
-certifies that the constraint system is contradictory by a GF(2) rank
-test (every symbol appears an even number of times across the nine
+(factor symbols and predicted sign).  This module records, for each of
+the 2^12 assignments, the set of constraints it violates, as one table
+of bit sets, and certifies that the system is contradictory by a GF(2)
+rank test (every symbol appears an even number of times across the nine
 left-hand sides, so their product is +1, while the required signs
-multiply to -1: no assignment meets all nine).
+multiply to -1: no assignment meets all nine, so no set is empty).  An
+assignment violating |V| of n constraints meets k = n - |V| of them and
+scores n - 2|V| on the Bell quantity.
 
 Everything here is exact integer arithmetic in plain Python; no floating
 point touches the certificate, and the module does not import numpy.
@@ -20,8 +22,8 @@ point touches the certificate, and the module does not import numpy.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from ._tables import CORRELATION_IDS, CORRELATIONS
@@ -58,8 +60,8 @@ CONSTRAINTS: tuple[Constraint, ...] = tuple(
     Constraint(k, tuple(symbol for _, symbol in corr.factors), corr.sign)
     for k, corr in enumerate(CORRELATIONS, start=1)
 )
-_M_CONSTRAINT = CONSTRAINTS[CORRELATION_IDS.index("M")]
-_M_SYMBOLS = _M_CONSTRAINT.symbols
+_M = CORRELATION_IDS.index("M")
+_M_SYMBOLS = CONSTRAINTS[_M].symbols
 
 
 def with_flipped_sign(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -> tuple[Constraint, ...]:
@@ -94,32 +96,31 @@ def enumerate_assignments() -> Iterator[Assignment]:
     return itertools.product((1, -1), repeat=len(SYMBOLS))
 
 
-# +1 <-> -1 on a column of signed bytes (-1 is stored as 0xFF)
-_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+def _encode(constraints: Sequence[Constraint]) -> tuple[int, tuple[int, ...]]:
+    """The system over GF(2): its sign word and one flip word per symbol.
 
-
-@lru_cache
-def _audit_table(constraints: tuple[Constraint, ...]) -> tuple[bytes, tuple[int, ...]]:
-    """Satisfied count and Bell quantity of every assignment, in enumerate_assignments() order.
-
-    Column k holds required_k times constraint k's product on every
-    assignment, as signed bytes: +1 where the assignment meets the
-    constraint, -1 where it does not.  Starting from the all-+1
-    assignment, each symbol from the last to the first doubles the
-    column, negating the new half when the symbol is a factor an odd
-    number of times (a symbol listed twice cancels, as its two values
-    do).  Counting the +1 entries of a row and summing the row are two
-    exact integer reductions of the same table.
+    Bit k of the sign word is set when constraint k requires -1: it is the
+    violated set of the all-+1 assignment.  Bit k of a symbol's flip word
+    is set when the symbol is a factor of constraint k an odd number of
+    times (a symbol listed twice cancels), so negating it toggles those.
     """
-    # the zero column keeps 4096 rows when there is no constraint and adds nothing
-    columns = [bytes(2 ** len(SYMBOLS))]
-    for c in constraints:
-        column = bytes([c.required & 0xFF])
-        for symbol in reversed(SYMBOLS):
-            column += column.translate(_NEGATE) if c.symbols.count(symbol) % 2 else column
-        columns.append(memoryview(column).cast("b"))
-    satisfied = bytes(map(tuple.count, zip(*columns), itertools.repeat(1)))
-    return satisfied, tuple(map(sum, zip(*columns)))
+    sign = sum(1 << k for k, c in enumerate(constraints) if c.required == -1)
+    flips = tuple(sum(c.symbols.count(s) % 2 << k for k, c in enumerate(constraints)) for s in SYMBOLS)
+    return sign, flips
+
+
+def _violations(constraints: Sequence[Constraint]) -> list[int]:
+    """Violated-constraint set of every assignment, in enumerate_assignments() order.
+
+    Bit k of an entry is set when that assignment violates constraint k.
+    Starting from the all-+1 assignment, each symbol from the last to the
+    first doubles the list, toggling its flip word on the new half.
+    """
+    sign, flips = _encode(constraints)
+    rows = [sign]
+    for flip in reversed(flips):
+        rows += [r ^ flip for r in rows]
+    return rows
 
 
 def _assignment(row: int) -> Assignment:
@@ -162,8 +163,8 @@ class AvnAudit:
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
     n = len(constraints)
-    satisfied = _audit_table(tuple(constraints))[0]
-    histogram = [satisfied.count(k) for k in range(n + 1)]
+    sizes = Counter(map(int.bit_count, _violations(constraints)))
+    histogram = [sizes[n - k] for k in range(n + 1)]
     max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
     return AvnAudit(
         all_nine_count=histogram[n],
@@ -182,43 +183,36 @@ class LrBound:
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    values = _audit_table(tuple(constraints))[1]
-    best = max(values)
-    argmax = tuple(_assignment(row) for row, value in enumerate(values) if value == best)
-    return LrBound(max_value=best, min_value=min(values), argmax_assignments=argmax)
+    n = len(constraints)
+    sizes = list(map(int.bit_count, _violations(constraints)))
+    fewest = min(sizes)
+    argmax = tuple(_assignment(row) for row, size in enumerate(sizes) if size == fewest)
+    return LrBound(max_value=n - 2 * fewest, min_value=n - 2 * max(sizes), argmax_assignments=argmax)
 
 
 def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
     """True when the constraint system is algebraically contradictory.
 
-    Writing each value as (-1)^bit, constraint k is the GF(2) equation
-    "the bits of its symbols sum to its sign bit".  Gaussian elimination
-    over the rows [A|b] finds a row reduced to 0 = 1 exactly when
-    rank [A|b] > rank A, i.e. when no assignment satisfies every row.
+    Writing each value as (-1)^bit, the system is A x = b over GF(2) with
+    the flip words as the columns of A and the sign word as b.  It has no
+    solution, i.e. rank [A|b] > rank A, exactly when the sign word is not
+    in the span of the flip words: it does not reduce to 0 below.
     """
-    sign_bit = 1 << len(SYMBOLS)
-    lhs = sign_bit - 1
-    pivots: dict[int, int] = {}  # leading symbol bit -> reduced row
-    for c in constraints:
-        row = sign_bit if c.required == -1 else 0
-        for s in c.symbols:
-            row ^= 1 << _SYMBOL_INDEX[s]
-        while row & lhs:
-            lead = (row & lhs).bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = row
-                break
-            row ^= pivots[lead]
-        if row == sign_bit:  # reduced to 0 = 1
-            return True
-    return False
+    sign, flips = _encode(constraints)
+    basis: dict[int, int] = {}  # leading bit -> flip word reduced by the earlier ones
+    for word in (*flips, sign):
+        while word and word.bit_length() - 1 in basis:
+            word ^= basis[word.bit_length() - 1]
+        if word:
+            basis[word.bit_length() - 1] = word
+    return word != 0  # the sign word, reduced: not 0 means outside the span
 
 
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:
-    """Assignments reproducing the eight non-M perfect correlations."""
-    non_m = without_constraint(_M_CONSTRAINT.index)
-    satisfied = _audit_table(non_m)[0]
-    return tuple(_assignment(row) for row, k in enumerate(satisfied) if k == len(non_m))
+    """Assignments reproducing the eight non-M perfect correlations: no violation but M's."""
+    others = ~(1 << _M)
+    rows = _violations(CONSTRAINTS)
+    return tuple(_assignment(row) for row, violated in enumerate(rows) if not violated & others)
 
 
 def lr_m_histogram() -> tuple[float, ...]:
@@ -242,8 +236,10 @@ def certificate() -> dict:
     audit = avn_audit()
     bound = lr_bound()
     witness = parity_witness()
-    satisfied, values = _audit_table(CONSTRAINTS)
-    identity_ok = all(value == 2 * k - 9 for k, value in zip(satisfied, values))
+    # k = n - |V| and Bell = n - 2|V|, so this pins the 2k - 9 form to the nine constraints
+    n = len(CONSTRAINTS)
+    sizes = set(map(int.bit_count, _violations(CONSTRAINTS)))
+    identity_ok = all(n - 2 * size == 2 * (n - size) - 9 for size in sizes)
     checks = {
         "no_assignment_satisfies_all_nine": audit.all_nine_count == 0,
         "max_satisfied_is_eight": audit.max_satisfied == 8,

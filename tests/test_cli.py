@@ -269,6 +269,13 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr == b"avnsim: error: config document nests too deeply\n"
 
+    @pytest.mark.parametrize("command", ["lhv", "predict"])
+    def test_unwritable_out_exits_2_without_a_traceback(self, command, tmp_path, capsys):
+        for out in (tmp_path / "missing" / "x", tmp_path):
+            assert main([command, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("avnsim: error: ") and str(out) in err
+
     def test_unknown_format_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["predict", "--format", "yaml"])

@@ -102,6 +102,21 @@ def test_apparatus_statistics_equal_the_operator_expectations_on_mixed_states(ph
         assert abs(float(_statistic_signs(cid) @ p) - exact.estimate(cid).E) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(phi=_ANGLE.filter(lambda phi: phi != 0.0), w=_UNIT, vp=_UNIT, vq=_UNIT, delta=_ANGLE)
+def test_predict_exact_equals_the_reduced_closed_form_away_from_phi_zero(phi, w, vp, vq, delta):
+    # independent of the density-matrix code: s = 1 - w, a = vp^2, b = vq^2 cos(phi + delta)
+    s, a, b = 1.0 - w, vp**2, vq**2 * math.cos(phi + delta)
+    closed_form = {
+        "ZZ": -s, "Z'Z'": -s, "XX": -s * a, "X'X'": -s * b, "ZZ'-Z-Z'": s,
+        "XX'-X-X'": s * a * b, "Z-X'-ZX'": s * b, "X-Z'-XZ'": s * a, "M": -s * a * b,
+    }
+    exact = predict_exact(apply_noise(build_psi(SourceConfig(phi)), NoiseModel(w, vp, vq, delta)))
+    assert sorted(closed_form) == sorted(CORRELATION_IDS)
+    for cid, value in closed_form.items():
+        assert abs(exact.estimate(cid).E - value) <= 1e-12, cid
+
+
 class TestSampleEvents:
     def test_zero_events(self):
         table = sample_events(np.full(16, 1 / 16), 0, seed=1)
@@ -129,6 +144,22 @@ class TestSampleEvents:
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError):
             sample_events(np.full(16, 1 / 16), -1, seed=0)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            np.zeros(16),
+            np.r_[np.nan, np.full(15, 1 / 15)],
+            np.full(15, 1 / 15),
+            np.r_[-0.1, np.full(15, 1.1 / 15)],
+            np.r_[np.inf, np.zeros(15)],
+            np.full(16, 1e308),
+        ],
+        ids=["all_zero", "nan", "fifteen_bins", "negative", "inf", "sum_overflows"],
+    )
+    def test_rejects_a_dist_that_is_not_sixteen_weights(self, dist):
+        with pytest.raises(ValueError, match="^dist "):
+            sample_events(dist, 10, seed=0)
 
     def test_rejects_seeds_outside_64_bits_instead_of_wrapping(self):
         dist = np.full(16, 1 / 16)

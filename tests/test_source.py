@@ -253,6 +253,21 @@ class TestFitNoise:
             fit_noise([1.5] + [0.0] * 7)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=st.floats(-10.0, 10.0),
+    w=st.floats(0.0, 1.0),
+    vp=st.floats(0.0, 1.0),
+    vq=st.floats(0.0, 1.0),
+    delta=st.floats(-10.0, 10.0),
+)
+def test_source_config_and_noise_model_survive_a_dict_round_trip(phi, w, vp, vq, delta):
+    config = SourceConfig(phi)
+    assert SourceConfig.from_dict(config.to_dict()) == config
+    model = NoiseModel(w, vp, vq, delta)
+    assert NoiseModel.from_dict(model.to_dict()) == model
+
+
 def test_noise_model_dict_round_trip():
     model = NoiseModel(0.1, 0.9, 0.8, -0.3)
     assert NoiseModel.from_dict(model.to_dict()) == model
