@@ -34,11 +34,11 @@ from .observables import (
     Setting,
     bell_operator,
     context,
-    correlation_operator,
+    correlation_expectations,
     CONTEXT_SYMBOLS,
 )
 from .apparatus import build_apparatus
-from .qstate import DIM, INDEX_BITS, Party, mixed_expectation
+from .qstate import DIM, INDEX_BITS, Party, assert_density_shape, real_trace
 from .source import _config_block, _config_float
 
 RNG_ALGORITHM = "philox4x64"
@@ -111,21 +111,26 @@ def _statistic_signs(corr_id: str) -> np.ndarray:
     return signs
 
 
-def outcome_distribution(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
-    """Born-rule probabilities of the 16 joint outcomes for a setting pair."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"density matrix must be {DIM}x{DIM}")
-    stack = _joint_projectors(pair.alice, pair.bob)
-    p = np.einsum("oij,ji->o", stack, rho)
+def _born_weights(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
+    """Complex trace(rho @ P) for the 16 joint outcome projectors P of a pair."""
+    return np.einsum("oij,ji->o", _joint_projectors(pair.alice, pair.bob), rho)
+
+
+def _probabilities(p: np.ndarray) -> np.ndarray:
+    """Check (..., 16) Born weights row by row and return them real, clipped at 0."""
     if float(np.max(np.abs(p.imag))) > 1e-10:
         raise ValueError("outcome probabilities acquired an imaginary part")
     p = p.real
     if float(p.min()) < -1e-10:
         raise ValueError(f"negative outcome probability {float(p.min()):.3e}")
-    if abs(float(p.sum()) - 1.0) > 1e-10:
+    if float(np.max(np.abs(p.sum(axis=-1) - 1.0))) > 1e-10:
         raise ValueError("outcome probabilities do not sum to 1")
     return np.clip(p, 0.0, None)
+
+
+def outcome_distribution(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
+    """Born-rule probabilities of the 16 joint outcomes for a setting pair."""
+    return _probabilities(_born_weights(assert_density_shape(rho), pair))
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def _stream(seed: int, stream_index: int) -> np.random.Generator:
 
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
     counts = rng.multinomial(n, dist / dist.sum()) if n > 0 else np.zeros(DIM, dtype=int)
-    return CountTable(tuple(int(c) for c in counts), int(n))
+    return CountTable(tuple(counts.tolist()), int(n))
 
 
 def sample_events(dist, n: int, seed: int) -> CountTable:
@@ -308,12 +313,15 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
     bit-identical reports regardless of evaluation order.  A correlation
     that draws no events reports E and stderr as NaN, and so do the Bell
     value, its stderr and sigma (any row) and the M fidelity and
-    histogram (the M row).
+    histogram (the M row).  The nine outcome distributions are computed
+    and checked as one table before any draw.
     """
+    rho = assert_density_shape(rho)
+    dists = _probabilities(np.array([_born_weights(rho, context_pair(corr.id)) for corr in CORRELATIONS]))
     estimates = []
     m_histogram = (math.nan,) * DIM
     m_fidelity = math.nan
-    for idx, corr in enumerate(CORRELATIONS):
+    for idx, (corr, dist) in enumerate(zip(CORRELATIONS, dists)):
         rng = _stream(seed, idx)
         n = int(rng.poisson(schedule.mean_counts(corr.id)))
         if n == 0:
@@ -321,7 +329,6 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
             # undefined, NaN here and null in the documents
             estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
             continue
-        dist = outcome_distribution(rho, context_pair(corr.id))
         table = _draw_counts(rng, dist, n)
         estimates.append(estimate_correlation(table, corr))
         if corr.id == "M":
@@ -346,11 +353,9 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
 
 def predict_exact(rho: np.ndarray) -> ExperimentReport:
     """Analytic report: expectation values instead of sampled counts."""
-    estimates = [
-        CorrelationEstimate(corr.id, mixed_expectation(correlation_operator(corr), rho), 0.0, 0)
-        for corr in CORRELATIONS
-    ]
-    bell = mixed_expectation(bell_operator(), rho)
+    values = correlation_expectations(rho).tolist()
+    estimates = [CorrelationEstimate(corr.id, e, 0.0, 0) for corr, e in zip(CORRELATIONS, values)]
+    bell = real_trace(bell_operator(), rho)
     hist = outcome_distribution(rho, context_pair("M"))
     signs = _statistic_signs("M")
     fidelity = float(hist[signs < 0].sum())

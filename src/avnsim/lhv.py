@@ -236,10 +236,12 @@ def certificate() -> dict:
     audit = avn_audit()
     bound = lr_bound()
     witness = parity_witness()
-    # k = n - |V| and Bell = n - 2|V|, so this pins the 2k - 9 form to the nine constraints
-    n = len(CONSTRAINTS)
-    sizes = set(map(int.bit_count, _violations(CONSTRAINTS)))
-    identity_ok = all(n - 2 * size == 2 * (n - size) - 9 for size in sizes)
+    # recomputed symbol by symbol, not read from the violated-set table, on
+    # each published maximiser: Bell = 2k - 9 = the bound
+    identity_ok = all(
+        bell_quantity(a) == 2 * check_constraints(a).satisfied_count - 9 == bound.max_value
+        for a in bound.argmax_assignments
+    )
     checks = {
         "no_assignment_satisfies_all_nine": audit.all_nine_count == 0,
         "max_satisfied_is_eight": audit.max_satisfied == 8,

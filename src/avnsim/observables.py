@@ -31,6 +31,8 @@ from .qstate import (
     SubsystemSlot,
     PAULI_X,
     PAULI_Z,
+    assert_density_shape,
+    assert_observable,
     commutator_norm,
     expectation,
     is_dichotomic,
@@ -145,6 +147,7 @@ def _correlation_operator_by_id(corr_id: str) -> np.ndarray:
         rev = rev @ local_observable(symbol)
     if float(np.max(np.abs(op - rev))) > ATOL_ALGEBRA:
         raise ConsistencyError(f"factors of {corr_id!r} do not commute")
+    assert_observable(op)
     op.setflags(write=False)
     return op
 
@@ -160,8 +163,30 @@ def bell_operator() -> np.ndarray:
     op = np.zeros((DIM, DIM), dtype=complex)
     for corr in CORRELATIONS:
         op = op + corr.sign * correlation_operator(corr)
+    assert_observable(op)
     op.setflags(write=False)
     return op
+
+
+@lru_cache(maxsize=None)
+def correlation_operators() -> np.ndarray:
+    """The nine correlation operators as one (9, 16, 16) stack in CORRELATIONS order (read-only)."""
+    stack = np.array([correlation_operator(corr) for corr in CORRELATIONS])
+    stack.setflags(write=False)
+    return stack
+
+
+def correlation_expectations(rho: np.ndarray) -> np.ndarray:
+    """The nine trace(rho @ op) in CORRELATIONS order, checked real within tolerance.
+
+    The operators were checked Hermitian when built, so only rho's shape
+    is checked here, and all nine are contracted at once.
+    """
+    values = np.einsum("kij,ji->k", correlation_operators(), assert_density_shape(rho))
+    imag = float(np.max(np.abs(values.imag)))
+    if imag > ATOL_ALGEBRA:
+        raise ConsistencyError(f"mixed expectation has imaginary part {imag:.3e}")
+    return values.real
 
 
 @dataclass(frozen=True)

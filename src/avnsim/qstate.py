@@ -105,6 +105,14 @@ def assert_observable(obs: np.ndarray, atol: float = ATOL_ALGEBRA) -> np.ndarray
     return obs
 
 
+def assert_density_shape(rho: np.ndarray) -> np.ndarray:
+    """rho as a complex array, checked only for its 16x16 shape."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (DIM, DIM):
+        raise ValueError(f"density matrix must be {DIM}x{DIM}")
+    return rho
+
+
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (DIM, DIM):
@@ -173,12 +181,18 @@ def expectation(obs: np.ndarray, state: np.ndarray) -> float:
 
 
 def mixed_expectation(obs: np.ndarray, rho: np.ndarray) -> float:
-    """trace(rho @ obs), checked real within tolerance."""
-    obs = assert_observable(obs)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (DIM, DIM):
-        raise ValueError(f"density matrix must be {DIM}x{DIM}")
-    val = complex(np.einsum("ij,ji->", rho, obs))
+    """trace(rho @ obs), checked real within tolerance.
+
+    For external callers: obs is checked Hermitian on every call, so any
+    operator may be passed.  The cached operators of the observables
+    module were checked once when built and are contracted without it.
+    """
+    return real_trace(assert_observable(obs), rho)
+
+
+def real_trace(obs: np.ndarray, rho: np.ndarray) -> float:
+    """trace(rho @ obs) for an obs already known to be Hermitian, checked real."""
+    val = complex(np.einsum("ij,ji->", assert_density_shape(rho), obs))
     if abs(val.imag) > ATOL_ALGEBRA:
         raise ConsistencyError(f"mixed expectation has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .observables import CORRELATIONS, correlation_operator
-from .qstate import DIM, INDEX_BITS, assert_density_matrix, mixed_expectation
+from .observables import correlation_expectations
+from .qstate import DIM, INDEX_BITS, assert_density_matrix
 
 
 def _canonical_phase(phi: float, where: str) -> float:
@@ -164,8 +164,7 @@ _FIT_MAX_STEPS = 10_000
 
 def predicted_correlations(model: NoiseModel, phi: float = 0.0) -> np.ndarray:
     """The nine correlation expectations of the noisy source."""
-    rho = apply_noise(build_psi(phi), model)
-    return np.array([mixed_expectation(correlation_operator(c), rho) for c in CORRELATIONS])
+    return correlation_expectations(apply_noise(build_psi(phi), model))
 
 
 def fit_noise(targets) -> FitResult:

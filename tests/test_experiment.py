@@ -16,11 +16,13 @@ from avnsim.experiment import (
     run_schedule,
     sample_events,
     OUTCOME_BITS,
+    _draw_counts,
     _joint_projectors,
     _statistic_signs,
+    _stream,
 )
 from avnsim.apparatus import build_apparatus
-from avnsim.observables import CORRELATIONS, CORRELATION_IDS, Setting
+from avnsim.observables import CORRELATIONS, CORRELATION_IDS, Setting, bell_operator, correlation_operator
 from avnsim.qstate import DIM, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 from avnsim import reference
@@ -115,6 +117,66 @@ def test_predict_exact_equals_the_reduced_closed_form_away_from_phi_zero(phi, w,
     assert sorted(closed_form) == sorted(CORRELATION_IDS)
     for cid, value in closed_form.items():
         assert abs(exact.estimate(cid).E - value) <= 1e-12, cid
+
+
+def test_error_bars_cover_the_exact_values_one_sigma_of_the_time():
+    # calibration gate on the error bars behind the paper's 294 sigma: over
+    # 400 seeded runs of the fitted state on the matched schedule, the share
+    # of |z| <= 1, z = (E_sim - E_exact) / stderr, must lie within four
+    # binomial standard deviations of the normal 68.27%, pooled over the
+    # nine rows and again for the Bell value
+    rho = apply_noise(PSI, reference.fitted_noise().model)
+    exact = predict_exact(rho)
+    schedule = reference.matched_schedule()
+    row_z, bell_z = [], []
+    for seed in range(400):
+        report = run_schedule(rho, schedule, seed)
+        row_z += [(est.E - ex.E) / est.stderr for est, ex in zip(report.estimates, exact.estimates)]
+        bell_z.append((report.bell_value - exact.bell_value) / report.bell_stderr)
+    p = math.erf(1.0 / math.sqrt(2.0))
+    for z in (row_z, bell_z):
+        share = sum(abs(x) <= 1.0 for x in z) / len(z)
+        assert abs(share - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(z)), share
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=_ANGLE, w=_UNIT, vp=_UNIT, vq=_UNIT, delta=_ANGLE)
+def test_predict_exact_equals_the_per_operator_expectations_exactly(phi, w, vp, vq, delta):
+    # the stacked contraction must give the same bits as one checked trace per operator
+    rho = apply_noise(build_psi(SourceConfig(phi)), NoiseModel(w, vp, vq, delta))
+    exact = predict_exact(rho)
+    for corr, est in zip(CORRELATIONS, exact.estimates):
+        assert est.E == mixed_expectation(correlation_operator(corr), rho), corr.id
+    assert exact.bell_value == mixed_expectation(bell_operator(), rho)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("pair_rate", [2.0, 3.2e4])
+def test_run_schedule_equals_a_per_row_reference_loop(seed, pair_rate):
+    # each row drawn from its own stream and its own checked distribution
+    rho = noisy_rho()
+    schedule = Schedule(pair_rate=pair_rate)
+    report = run_schedule(rho, schedule, seed)
+    for idx, corr in enumerate(CORRELATIONS):
+        rng = _stream(seed, idx)
+        n = int(rng.poisson(schedule.mean_counts(corr.id)))
+        est = report.estimates[idx]
+        if n == 0:
+            assert (est.n, math.isnan(est.E), math.isnan(est.stderr)) == (0, True, True)
+            continue
+        table = _draw_counts(rng, outcome_distribution(rho, context_pair(corr.id)), n)
+        assert est == estimate_correlation(table, corr)
+        if corr.id == "M":
+            assert report.m_histogram == tuple(np.asarray(table.counts, dtype=float) / n)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (16,), (16, 16, 1)])
+def test_a_misshapen_density_matrix_is_rejected_with_one_message(shape):
+    rho = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"^density matrix must be 16x16$"):
+        predict_exact(rho)
+    with pytest.raises(ValueError, match=r"^density matrix must be 16x16$"):
+        run_schedule(rho, Schedule(), 0)
 
 
 class TestSampleEvents:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from avnsim import lhv
 from avnsim.observables import local_observable
 from avnsim.lhv import (
     CONSTRAINTS,
@@ -199,6 +200,21 @@ def test_certificate_document():
     assert cert["lr_bound"]["argmax_count"] == ASSIGNMENTS_AT_MAX
     assert sum(cert["histogram_by_satisfied_count"]) == 4096
     assert len(cert["constraints"]) == 9
+
+
+def test_bell_identity_check_fails_on_a_misordered_table(monkeypatch):
+    # doubling from the first symbol instead of the last files each violated
+    # set under the wrong assignment; the check recomputes the maximisers'
+    # products symbol by symbol, so it must notice
+    def misordered(constraints):
+        sign, flips = lhv._encode(constraints)
+        rows = [sign]
+        for flip in flips:
+            rows += [r ^ flip for r in rows]
+        return rows
+
+    monkeypatch.setattr(lhv, "_violations", misordered)
+    assert certificate()["checks"]["bell_identity_2k_minus_9"] is False
 
 
 def test_assignment_from_dict_validation():

@@ -8,12 +8,15 @@ from avnsim.observables import (
     Setting,
     bell_operator,
     context,
+    correlation_expectations,
     correlation_operator,
+    correlation_operators,
     local_observable,
     verify_eigenrelations,
 )
 from avnsim.qstate import (
     DIM,
+    ConsistencyError,
     KET_H,
     KET_L,
     KET_R,
@@ -84,6 +87,20 @@ class TestCorrelationOperators:
         assert np.max(np.abs(product + correlation_operator("M"))) < 1e-12
         assert np.linalg.norm(product @ PSI - PSI) < 1e-12
         assert np.linalg.norm(correlation_operator("M") @ PSI + PSI) < 1e-12
+
+    def test_stack_is_the_nine_operators_read_only(self):
+        stack = correlation_operators()
+        assert stack.shape == (len(CORRELATIONS), DIM, DIM)
+        assert not stack.flags.writeable
+        for k, corr in enumerate(CORRELATIONS):
+            assert stack[k].tobytes() == correlation_operator(corr).tobytes()
+
+    def test_expectations_check_the_shape_and_the_imaginary_part(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be 16x16$"):
+            correlation_expectations(np.eye(4))
+        # an anti-Hermitian admixture of ZZ gives trace(rho @ ZZ) an imaginary part
+        with pytest.raises(ConsistencyError, match="imaginary part"):
+            correlation_expectations(np.eye(DIM) / DIM + 1e-6j * correlation_operator("ZZ"))
 
 
 class TestBellOperator:
