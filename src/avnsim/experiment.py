@@ -1,26 +1,24 @@
 """Monte Carlo coincidence counting over the two-party detection models.
 
-Each of the nine correlations is measured in one fixed pair of device
-settings.  A run draws a Poisson number of pairs per correlation, samples
-joint two-bit x two-bit outcomes from the Born-rule distribution, and
-forms the counting estimator
-
-    E(p) = [C(p=+1) - C(p=-1)] / [C(p=+1) + C(p=-1)]
-
-with the binomial standard error sqrt((1 - E^2)/n).  Joint outcomes are
-indexed by (bit1_A, bit2_A, bit1_B, bit2_B) like the basis in
-qstate.INDEX_BITS, with bit +1 mapping to 0, so
+Each setting reads its two generator symbols on the party's two readout
+bits.  _READOUT records each symbol's setting and bit, and every
+correlation names generators only, so its setting pair and its +-1
+statistic s (the product of its factors' bits) are both read from there.
+Joint outcomes are indexed like qstate.INDEX_BITS, bit +1 mapping to 0:
 
     outcome index = 8*i(bit1_A) + 4*i(bit2_A) + 2*i(bit1_B) + i(bit2_B).
 
-Randomness comes from the counter-based Philox generator; every
-correlation derives its own stream from (seed, correlation index), so
-reports do not depend on execution order and are bit-reproducible.
+A run draws a Poisson number n of pairs per correlation, samples the 16
+outcome counts c and estimates E = (c . s)/n = [C(+1) - C(-1)]/n as one
+exact integer dot product, with binomial standard error sqrt((1 - E^2)/n).
+Each correlation draws from its own Philox stream keyed by (seed,
+correlation index), so reports are bit-reproducible in any order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -33,7 +31,6 @@ from .observables import (
     Correlation,
     Setting,
     bell_operator,
-    context,
     correlation_expectations,
     CONTEXT_SYMBOLS,
 )
@@ -55,22 +52,18 @@ class ContextPair:
     bob: Setting
 
 
-def _setting_containing(party: Party, symbol: str) -> Setting:
-    hits = [s for s in Setting if symbol in CONTEXT_SYMBOLS[(party, s)]]
-    if len(hits) != 1:
-        raise ValueError(f"symbol {symbol!r} is not readable in a unique {party.value} setting")
-    return hits[0]
+# (party, generator symbol) -> (setting, OUTCOME_BITS column), Alice's bits first
+_READOUT: dict[tuple[Party, str], tuple[Setting, int]] = {
+    (party, symbol): (setting, (0 if party is Party.ALICE else 2) + bit)
+    for (party, setting), symbols in CONTEXT_SYMBOLS.items()
+    for bit, symbol in enumerate(symbols[:2])
+}
 
 
 @lru_cache(maxsize=None)
 def context_pair(corr_id: str) -> ContextPair:
     """The unique device-setting pair in which a correlation is measurable."""
-    corr = CORRELATION_BY_ID[corr_id]
-    settings: dict[Party, Setting] = {}
-    for party, symbol in corr.factors:
-        s = _setting_containing(party, symbol)
-        if settings.setdefault(party, s) is not s:
-            raise ValueError(f"correlation {corr_id!r} mixes settings for {party.value}")
+    settings = {party: _READOUT[party, symbol][0] for party, symbol in CORRELATION_BY_ID[corr_id].factors}
     return ContextPair(alice=settings[Party.ALICE], bob=settings[Party.BOB])
 
 
@@ -96,17 +89,8 @@ def _joint_projectors(alice: Setting, bob: Setting) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _statistic_signs(corr_id: str) -> np.ndarray:
     """Per-outcome value (+-1) of a correlation's bit-product statistic."""
-    corr = CORRELATION_BY_ID[corr_id]
-    pair = context_pair(corr_id)
-    signs = np.ones(DIM, dtype=int)
-    for party, symbol in corr.factors:
-        setting = pair.alice if party is Party.ALICE else pair.bob
-        pos = context(party, setting).bit_position(symbol)
-        base = 0 if party is Party.ALICE else 2
-        if pos == 2:  # derived product, multiply both readout bits
-            signs = signs * OUTCOME_BITS[:, base] * OUTCOME_BITS[:, base + 1]
-        else:
-            signs = signs * OUTCOME_BITS[:, base + pos]
+    columns = [_READOUT[factor][1] for factor in CORRELATION_BY_ID[corr_id].factors]
+    signs = OUTCOME_BITS[:, columns].prod(axis=1)
     signs.setflags(write=False)
     return signs
 
@@ -166,8 +150,8 @@ def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTab
 
 def sample_events(dist, n: int, seed: int) -> CountTable:
     """Multinomial sample of n events, deterministic for a given seed."""
-    if n < 0:
-        raise ValueError("sample size must be non-negative")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"sample size n must be a non-negative integer, got {n!r:.40}")
     p = np.asarray(dist, dtype=float)
     weights = p.shape == (DIM,) and np.isfinite(p).all() and p.min() >= 0.0
     if not (weights and 0.0 < sum(p.tolist()) < math.inf):  # a Python sum overflows without a warning
@@ -183,6 +167,13 @@ class CorrelationEstimate:
     n: int
 
 
+def _estimate(corr_id: str, counts: np.ndarray, n: int) -> CorrelationEstimate:
+    """E = (counts . signs) / n for integer counts of n events, summed exactly."""
+    e = int(np.dot(counts, _statistic_signs(corr_id))) / n
+    stderr = math.sqrt(max(1.0 - e * e, 0.0) / n)
+    return CorrelationEstimate(corr_id, e, stderr, n)
+
+
 def estimate_correlation(table: CountTable, corr: Correlation | str) -> CorrelationEstimate:
     """Counting estimator and binomial standard error for one correlation."""
     corr_id = corr.id if isinstance(corr, Correlation) else corr
@@ -190,13 +181,10 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
         raise KeyError(f"unknown correlation id {corr_id!r}")
     if table.total <= 0:
         raise ValueError(f"correlation {corr_id!r} undefined: no events counted")
-    signs = _statistic_signs(corr_id)
-    counts = np.asarray(table.counts, dtype=float)
-    c_plus = float(counts[signs > 0].sum())
-    c_minus = float(counts[signs < 0].sum())
-    e = (c_plus - c_minus) / table.total
-    stderr = math.sqrt(max(1.0 - e * e, 0.0) / table.total)
-    return CorrelationEstimate(corr_id, e, stderr, table.total)
+    counts = np.asarray(table.counts)
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got {counts.dtype} values")
+    return _estimate(corr_id, counts, table.total)
 
 
 @dataclass(frozen=True)
@@ -258,10 +246,9 @@ class ExperimentReport:
     sigma_violation: float
     m_fidelity: float
     m_histogram: tuple[float, ...]
+    # both None for an exact report; to_dict derives the mode from them
     seed: int | None
     schedule: Schedule | None
-    mode: str
-    rng_algorithm: str | None
 
     def estimate(self, corr_id: str) -> CorrelationEstimate:
         for est in self.estimates:
@@ -270,10 +257,11 @@ class ExperimentReport:
         raise KeyError(corr_id)
 
     def to_dict(self) -> dict:
-        doc: dict = {"mode": self.mode}
-        if self.mode == "sampled":
-            doc["rng"] = {"algorithm": self.rng_algorithm, "seed": self.seed}
-            doc["schedule"] = self.schedule.to_dict() if self.schedule is not None else None
+        doc: dict = {"mode": "exact"}
+        if self.schedule is not None:
+            doc["mode"] = "sampled"
+            doc["rng"] = {"algorithm": RNG_ALGORITHM, "seed": self.seed}
+            doc["schedule"] = self.schedule.to_dict()
         doc["correlations"] = [
             {
                 "id": est.id,
@@ -329,13 +317,11 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
             # undefined, NaN here and null in the documents
             estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
             continue
-        table = _draw_counts(rng, dist, n)
-        estimates.append(estimate_correlation(table, corr))
+        counts = rng.multinomial(n, dist / dist.sum())
+        estimates.append(_estimate(corr.id, counts, n))
         if corr.id == "M":
-            counts = np.asarray(table.counts, dtype=float)
-            m_histogram = tuple(counts / table.total)
-            signs = _statistic_signs("M")
-            m_fidelity = float(counts[signs < 0].sum() / table.total)
+            m_histogram = tuple(counts / n)
+            m_fidelity = int(counts[_statistic_signs("M") < 0].sum()) / n
     bell, stderr, sigma = _aggregate(estimates)
     return ExperimentReport(
         estimates=tuple(estimates),
@@ -346,8 +332,6 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
         m_histogram=m_histogram,
         seed=seed,
         schedule=schedule,
-        mode="sampled",
-        rng_algorithm=RNG_ALGORITHM,
     )
 
 
@@ -368,6 +352,4 @@ def predict_exact(rho: np.ndarray) -> ExperimentReport:
         m_histogram=tuple(float(x) for x in hist),
         seed=None,
         schedule=None,
-        mode="exact",
-        rng_algorithm=None,
     )

@@ -106,10 +106,6 @@ class MeasurementContext:
     product: np.ndarray
     labels: tuple[str, str, str]
 
-    def bit_position(self, symbol: str) -> int:
-        """0 for generator1, 1 for generator2, 2 for the derived product."""
-        return self.labels.index(symbol)
-
 
 @lru_cache(maxsize=None)
 def context(party: Party, setting: Setting) -> MeasurementContext:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qstate
 from .observables import correlation_expectations
-from .qstate import DIM, INDEX_BITS, assert_density_matrix
+from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS, assert_density_matrix
 
 
 def _canonical_phase(phi: float, where: str) -> float:
@@ -137,9 +137,10 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
         rho = (1 - w) * D(|psi><psi|) + w * I/16
 
     The dephasing mask is a positive-semidefinite kernel, so the output is
-    always a valid density matrix.
+    always a valid density matrix.  Its trace is (1 - w) |psi|^2 + w, so
+    the state's squared norm is held to the trace tolerance at entry.
     """
-    psi = qstate.assert_state(state)
+    psi = qstate.assert_state(state, atol=ATOL_ALGEBRA / 2)
     # phase on Alice's path qubit (index bit 1), as a matrix product: the
     # elementwise form rounds differently in the last digit of some documents
     psi = np.diag(np.exp(1j * model.phase_offset * INDEX_BITS[:, 1])) @ psi

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from avnsim.experiment import (
     POISSON_LAM_MAX,
     ContextPair,
+    CorrelationEstimate,
     CountTable,
     Schedule,
     context_pair,
@@ -16,13 +17,22 @@ from avnsim.experiment import (
     run_schedule,
     sample_events,
     OUTCOME_BITS,
+    _READOUT,
     _draw_counts,
+    _estimate,
     _joint_projectors,
     _statistic_signs,
     _stream,
 )
 from avnsim.apparatus import build_apparatus
-from avnsim.observables import CORRELATIONS, CORRELATION_IDS, Setting, bell_operator, correlation_operator
+from avnsim.observables import (
+    CONTEXT_SYMBOLS,
+    CORRELATIONS,
+    CORRELATION_IDS,
+    Setting,
+    bell_operator,
+    correlation_operator,
+)
 from avnsim.qstate import DIM, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 from avnsim import reference
@@ -406,3 +416,90 @@ class TestFittedModelReproduction:
     def test_fitted_model_bell_value(self):
         rho = apply_noise(PSI, reference.fitted_noise().model)
         assert abs(predict_exact(rho).bell_value - reference.BELL_VALUE) <= 0.05
+
+
+def test_each_generator_symbol_is_read_in_exactly_one_setting_of_its_party():
+    # the readout table is a function of the symbol, and every correlation
+    # reads each party's factors in one setting
+    for party in Party:
+        generators = [sym for setting in Setting for sym in CONTEXT_SYMBOLS[(party, setting)][:2]]
+        assert len(set(generators)) == len(generators) == 6
+    assert len(_READOUT) == 12
+    for corr in CORRELATIONS:
+        for party in Party:
+            settings_read = {_READOUT[factor][0] for factor in corr.factors if factor[0] is party}
+            assert len(settings_read) == 1, (corr.id, party)
+    for (party, setting), symbols in CONTEXT_SYMBOLS.items():
+        base = 0 if party is Party.ALICE else 2
+        assert [_READOUT[party, sym] for sym in symbols[:2]] == [(setting, base), (setting, base + 1)]
+
+
+def _float_mask_estimate(corr_id, counts, n):
+    # the estimator as it was written before the integer dot product
+    signs = _statistic_signs(corr_id)
+    counts = np.asarray(counts, dtype=float)
+    e = (float(counts[signs > 0].sum()) - float(counts[signs < 0].sum())) / n
+    return CorrelationEstimate(corr_id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cid=st.sampled_from(CORRELATION_IDS),
+    counts=st.lists(st.integers(0, 10**6 // DIM), min_size=DIM, max_size=DIM).filter(any),
+)
+def test_the_integer_estimator_equals_the_float_mask_formula(cid, counts):
+    n = sum(counts)
+    expected = _float_mask_estimate(cid, counts, n)
+    assert _estimate(cid, np.array(counts), n) == expected
+    assert estimate_correlation(CountTable(tuple(counts), n), cid) == expected
+
+
+def test_the_integer_estimator_equals_the_float_mask_formula_on_multinomial_tables():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17, 10**3, 10**5, 10**6):
+        for cid in CORRELATION_IDS:
+            counts = rng.multinomial(n, rng.dirichlet(np.ones(DIM)))
+            assert _estimate(cid, counts, n) == _float_mask_estimate(cid, counts, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 4242])
+@pytest.mark.parametrize("pair_rate", [2.0, 3.2e4])
+def test_run_schedule_m_fidelity_is_the_count_of_odd_outcomes_over_n(seed, pair_rate):
+    rho = noisy_rho()
+    schedule = Schedule(pair_rate=pair_rate)
+    report = run_schedule(rho, schedule, seed)
+    idx = CORRELATION_IDS.index("M")
+    rng = _stream(seed, idx)
+    n = int(rng.poisson(schedule.mean_counts("M")))
+    if n == 0:
+        assert math.isnan(report.m_fidelity)
+        return
+    table = _draw_counts(rng, outcome_distribution(rho, context_pair("M")), n)
+    c_minus = sum(c for c, bits in zip(table.counts, OUTCOME_BITS.tolist()) if math.prod(bits) < 0)
+    assert report.m_fidelity == c_minus / n
+
+
+def test_estimate_correlation_rejects_counts_that_are_not_integers():
+    with pytest.raises(ValueError, match="integers"):
+        estimate_correlation(CountTable((0.5,) * DIM, 8), "ZZ")
+    assert estimate_correlation(CountTable((np.int64(1),) * DIM, DIM), "ZZ").E == 0.0
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+def test_sample_events_rejects_a_size_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=r"sample size n "):
+        sample_events(np.full(DIM, 1 / DIM), n, seed=0)
+
+
+def test_sample_events_accepts_a_numpy_integer_size():
+    assert sample_events(np.full(DIM, 1 / DIM), np.int64(10), seed=0).total == 10
+
+
+def test_the_report_document_derives_its_mode_from_the_schedule():
+    exact = predict_exact(RHO_IDEAL)
+    assert (exact.seed, exact.schedule) == (None, None)
+    assert list(exact.to_dict())[:2] == ["mode", "correlations"]
+    assert exact.to_dict()["mode"] == "exact"
+    sampled = run_schedule(RHO_IDEAL, Schedule(), seed=5).to_dict()
+    assert list(sampled)[:4] == ["mode", "rng", "schedule", "correlations"]
+    assert (sampled["mode"], sampled["rng"]) == ("sampled", {"algorithm": "philox4x64", "seed": 5})

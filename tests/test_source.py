@@ -273,3 +273,34 @@ def test_noise_model_dict_round_trip():
     assert NoiseModel.from_dict(model.to_dict()) == model
     with pytest.raises(ValueError):
         NoiseModel.from_dict({"visibility": 1.0})
+
+
+def test_apply_noise_rejects_a_state_whose_squared_norm_misses_one_at_entry():
+    # the output trace is (1 - w)|psi|^2 + w, so the state is held to the trace tolerance
+    with pytest.raises(ValueError, match=r"^state vector not normalized"):
+        apply_noise(build_psi(0.3) * (1 + 1e-10), NoiseModel())
+    with pytest.raises(ValueError, match=r"^state vector not normalized"):
+        apply_noise(build_psi(0.3) * (1 + 1e-10), NoiseModel(white_noise_weight=0.5))
+    assert apply_noise(build_psi(0.3) * (1 + 4e-13), NoiseModel()).shape == (DIM, DIM)
+
+
+_AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=2 * DIM, max_size=2 * DIM).filter(
+    lambda parts: math.fsum(x * x for x in parts) > 1e-6
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=_AMPLITUDES,
+    w=st.floats(0.0, 1.0),
+    vp=st.floats(0.0, 1.0),
+    vq=st.floats(0.0, 1.0),
+    delta=st.floats(-math.pi, math.pi),
+)
+def test_apply_noise_output_is_a_density_matrix_over_the_whole_model_range(parts, w, vp, vq, delta):
+    # checked here, outside apply_noise, so that its closing runtime check can go
+    psi = np.array(parts[:DIM]) + 1j * np.array(parts[DIM:])
+    rho = apply_noise(psi / np.linalg.norm(psi), NoiseModel(w, vp, vq, delta))
+    assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
+    assert abs(complex(np.trace(rho)) - 1.0) <= 1e-12
+    assert float(np.linalg.eigvalsh(rho).min()) >= -1e-12
