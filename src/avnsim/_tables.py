@@ -1,8 +1,8 @@
-"""The parties and the nine perfect correlations, as plain tables.
+"""The parties, the twelve local symbols and the nine perfect correlations, as plain tables.
 
 This module imports nothing outside the standard library, so the
-local-realism certificate (lhv) loads without numpy.  qstate and
-observables import these names from here, so each is one object
+local-realism certificate (lhv) loads without numpy.  qstate,
+observables and lhv import these names from here, so each is one object
 whichever module it is read from.
 """
 
@@ -15,6 +15,24 @@ from enum import Enum
 class Party(Enum):
     ALICE = "Alice"
     BOB = "Bob"
+
+
+# z, x on polarization and z', x' on path, then the one-photon products
+# that setting c reads as single variables; lhv enumerates in this order
+SYMBOLS: tuple[str, ...] = (
+    "zA",
+    "xA",
+    "zA'",
+    "xA'",
+    "zAzA'",
+    "xAxA'",
+    "zB",
+    "xB",
+    "zB'",
+    "xB'",
+    "zBxB'",
+    "xBzB'",
+)
 
 
 @dataclass(frozen=True)

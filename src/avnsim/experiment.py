@@ -35,7 +35,7 @@ from .observables import (
     CONTEXT_SYMBOLS,
 )
 from .apparatus import build_apparatus
-from .qstate import DIM, INDEX_BITS, Party, assert_density_shape, real_trace
+from .qstate import ATOL_SPECTRAL, DIM, INDEX_BITS, Party, assert_density_shape, real_trace
 from .source import _config_block, _config_float
 
 RNG_ALGORITHM = "philox4x64"
@@ -102,12 +102,12 @@ def _born_weights(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
 
 def _probabilities(p: np.ndarray) -> np.ndarray:
     """Check (..., 16) Born weights row by row and return them real, clipped at 0."""
-    if float(np.max(np.abs(p.imag))) > 1e-10:
+    if float(np.max(np.abs(p.imag))) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities acquired an imaginary part")
     p = p.real
-    if float(p.min()) < -1e-10:
+    if float(p.min()) < -ATOL_SPECTRAL:
         raise ValueError(f"negative outcome probability {float(p.min()):.3e}")
-    if float(np.max(np.abs(p.sum(axis=-1) - 1.0))) > 1e-10:
+    if float(np.max(np.abs(p.sum(axis=-1) - 1.0))) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities do not sum to 1")
     return np.clip(p, 0.0, None)
 
@@ -181,10 +181,13 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
         raise KeyError(f"unknown correlation id {corr_id!r}")
     if table.total <= 0:
         raise ValueError(f"correlation {corr_id!r} undefined: no events counted")
-    counts = np.asarray(table.counts)
-    if counts.dtype.kind not in "iu":
-        raise ValueError(f"counts must be integers, got {counts.dtype} values")
-    return _estimate(corr_id, counts, table.total)
+    for c in table.counts:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise ValueError(f"counts must be integers, got {type(c).__name__} values")
+    # summed as Python integers: numpy promotes uint64 counts to float64
+    # and has no integer type for counts of 2**64 or more
+    counts = np.array([int(c) for c in table.counts], dtype=object)
+    return _estimate(corr_id, counts, int(table.total))
 
 
 @dataclass(frozen=True)

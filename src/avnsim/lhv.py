@@ -1,9 +1,10 @@
 """Exhaustive audit of deterministic local-element-of-reality assignments.
 
-Twelve local variables carry pre-assigned values +-1.  Crucially, the
-product variables (zAzA', xAxA', zBxB', xBzB') are independent symbols:
-nowhere is m(zAzA') = m(zA) * m(zA') assumed, because each product is read
-out by its own device and never together with its factors.  Reproducing
+The twelve local SYMBOLS, read from _tables and enumerated in their
+order, carry pre-assigned values +-1.  Crucially, the product variables
+(zAzA', xAxA', zBxB', xBzB') are independent symbols: nowhere is
+m(zAzA') = m(zA) * m(zA') assumed, because each product is read out by
+its own device and never together with its factors.  Reproducing
 the nine perfect quantum correlations forces nine multiplicative
 constraints on the twelve values, read from the nine CORRELATIONS
 (factor symbols and predicted sign).  This module records, for each of
@@ -26,22 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from ._tables import CORRELATION_IDS, CORRELATIONS
-
-SYMBOLS: tuple[str, ...] = (
-    "zA",
-    "xA",
-    "zA'",
-    "xA'",
-    "zAzA'",
-    "xAxA'",
-    "zB",
-    "xB",
-    "zB'",
-    "xB'",
-    "zBxB'",
-    "xBzB'",
-)
+from ._tables import CORRELATION_IDS, CORRELATIONS, SYMBOLS
 
 _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 

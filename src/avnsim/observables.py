@@ -8,22 +8,24 @@ commuting generators that are read out together, plus their product.
 
 The symbol strings ("zA", "xA'", "zBxB'", ...) are the single naming
 scheme shared with the hidden-variable audit and the counting simulation,
-so constraint tables and event schemas line up everywhere.  The nine
-correlations that name them live in the numpy-free _tables module and are
-re-exported here.
+so constraint tables and event schemas line up everywhere: each local
+operator is built from its name.  The twelve SYMBOLS and the nine
+correlations that name them live in the numpy-free _tables module.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._tables import CORRELATION_BY_ID, CORRELATION_IDS, CORRELATIONS, Correlation
+from ._tables import CORRELATION_BY_ID, CORRELATION_IDS, CORRELATIONS, SYMBOLS, Correlation
 from .qstate import (
     ATOL_ALGEBRA,
+    ATOL_SPECTRAL,
     DIM,
     ConsistencyError,
     Dof,
@@ -57,42 +59,26 @@ CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
 }
 
 
+_PAULI = {"z": PAULI_Z, "x": PAULI_X}
+_PARTY = {"A": Party.ALICE, "B": Party.BOB}
+
+
 @lru_cache(maxsize=None)
-def _single_observables() -> dict[str, np.ndarray]:
-    z_a = lift_local(PAULI_Z, SubsystemSlot(Party.ALICE, Dof.POL))
-    x_a = lift_local(PAULI_X, SubsystemSlot(Party.ALICE, Dof.POL))
-    zp_a = lift_local(PAULI_Z, SubsystemSlot(Party.ALICE, Dof.PATH))
-    xp_a = lift_local(PAULI_X, SubsystemSlot(Party.ALICE, Dof.PATH))
-    z_b = lift_local(PAULI_Z, SubsystemSlot(Party.BOB, Dof.POL))
-    x_b = lift_local(PAULI_X, SubsystemSlot(Party.BOB, Dof.POL))
-    zp_b = lift_local(PAULI_Z, SubsystemSlot(Party.BOB, Dof.PATH))
-    xp_b = lift_local(PAULI_X, SubsystemSlot(Party.BOB, Dof.PATH))
-    table = {
-        "zA": z_a,
-        "xA": x_a,
-        "zA'": zp_a,
-        "xA'": xp_a,
-        "zB": z_b,
-        "xB": x_b,
-        "zB'": zp_b,
-        "xB'": xp_b,
-        # one-photon products measured as single variables in setting c
-        "zAzA'": z_a @ zp_a,
-        "xAxA'": x_a @ xp_a,
-        "zBxB'": z_b @ xp_b,
-        "xBzB'": x_b @ zp_b,
-    }
-    for m in table.values():
-        m.setflags(write=False)
-    return table
-
-
 def local_observable(symbol: str) -> np.ndarray:
-    """The 16x16 operator for one local symbol (treat as read-only)."""
-    table = _single_observables()
-    if symbol not in table:
+    """The 16x16 operator for one of the twelve SYMBOLS (read-only).
+
+    Each factor [zx][AB]'? is that party's Pauli Z or X on polarization, or
+    on path when primed, and the factors multiply left to right; the four
+    one-photon products are measured as single variables in setting c.
+    """
+    if symbol not in SYMBOLS:
         raise KeyError(f"unknown observable symbol {symbol!r}")
-    return table[symbol]
+    op = reduce(np.matmul, (
+        lift_local(_PAULI[pauli], SubsystemSlot(_PARTY[name], Dof.PATH if prime else Dof.POL))
+        for pauli, name, prime in re.findall(r"([zx])([AB])('?)", symbol)
+    ))
+    op.setflags(write=False)
+    return op
 
 
 @dataclass(frozen=True)
@@ -122,54 +108,44 @@ def context(party: Party, setting: Setting) -> MeasurementContext:
     return MeasurementContext(party, setting, g1, g2, product, labels)
 
 
-def _as_correlation(corr: Correlation | str) -> Correlation:
-    if isinstance(corr, Correlation):
-        return corr
-    if corr not in CORRELATION_BY_ID:
-        raise KeyError(f"unknown correlation id {corr!r}")
-    return CORRELATION_BY_ID[corr]
-
-
 @lru_cache(maxsize=None)
-def _correlation_operator_by_id(corr_id: str) -> np.ndarray:
-    corr = CORRELATION_BY_ID[corr_id]
-    op = np.eye(DIM, dtype=complex)
-    for _, symbol in corr.factors:
-        op = op @ local_observable(symbol)
-    # all factors live on distinct slots or commute inside one context,
-    # so the written order is immaterial; assert rather than assume
-    rev = np.eye(DIM, dtype=complex)
-    for _, symbol in reversed(corr.factors):
-        rev = rev @ local_observable(symbol)
-    if float(np.max(np.abs(op - rev))) > ATOL_ALGEBRA:
-        raise ConsistencyError(f"factors of {corr_id!r} do not commute")
-    assert_observable(op)
-    op.setflags(write=False)
-    return op
+def correlation_operators() -> np.ndarray:
+    """The nine correlation operators as one (9, 16, 16) stack in CORRELATIONS order (read-only)."""
+    ops = []
+    for corr in CORRELATIONS:
+        op = np.eye(DIM, dtype=complex)
+        for _, symbol in corr.factors:
+            op = op @ local_observable(symbol)
+        # all factors live on distinct slots or commute inside one context,
+        # so the written order is immaterial; assert rather than assume
+        rev = np.eye(DIM, dtype=complex)
+        for _, symbol in reversed(corr.factors):
+            rev = rev @ local_observable(symbol)
+        if float(np.max(np.abs(op - rev))) > ATOL_ALGEBRA:
+            raise ConsistencyError(f"factors of {corr.id!r} do not commute")
+        ops.append(assert_observable(op))
+    stack = np.array(ops)
+    stack.setflags(write=False)
+    return stack
 
 
 def correlation_operator(corr: Correlation | str) -> np.ndarray:
-    """The 16x16 product of the correlation's local factors (read-only)."""
-    return _correlation_operator_by_id(_as_correlation(corr).id)
+    """One correlation's row of correlation_operators() (read-only)."""
+    corr_id = corr.id if isinstance(corr, Correlation) else corr
+    if corr_id not in CORRELATION_BY_ID:
+        raise KeyError(f"unknown correlation id {corr_id!r}")
+    return correlation_operators()[CORRELATION_IDS.index(corr_id)]
 
 
 @lru_cache(maxsize=None)
 def bell_operator() -> np.ndarray:
     """Signed sum of the nine correlation operators (read-only)."""
     op = np.zeros((DIM, DIM), dtype=complex)
-    for corr in CORRELATIONS:
-        op = op + corr.sign * correlation_operator(corr)
+    for corr, row in zip(CORRELATIONS, correlation_operators()):
+        op = op + corr.sign * row
     assert_observable(op)
     op.setflags(write=False)
     return op
-
-
-@lru_cache(maxsize=None)
-def correlation_operators() -> np.ndarray:
-    """The nine correlation operators as one (9, 16, 16) stack in CORRELATIONS order (read-only)."""
-    stack = np.array([correlation_operator(corr) for corr in CORRELATIONS])
-    stack.setflags(write=False)
-    return stack
 
 
 def correlation_expectations(rho: np.ndarray) -> np.ndarray:
@@ -194,7 +170,7 @@ class EigenRelationRow:
     passed: bool
 
 
-def verify_eigenrelations(state: np.ndarray, atol: float = 1e-10) -> list[EigenRelationRow]:
+def verify_eigenrelations(state: np.ndarray, atol: float = ATOL_SPECTRAL) -> list[EigenRelationRow]:
     """Check the nine predicted eigenvalue relations on a state.
 
     A row passes when the expectation value matches the predicted sign and

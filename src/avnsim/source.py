@@ -190,7 +190,7 @@ def fit_noise(targets) -> FitResult:
     targets = np.asarray([float(t) for t in targets], dtype=float)
     if targets.shape[0] not in (8, 9):
         raise ValueError("expected 8 or 9 target correlation values")
-    if not np.all(np.abs(targets) <= 1.0 + 1e-12):
+    if not np.all(np.abs(targets) <= 1.0 + ATOL_ALGEBRA):
         raise ValueError("correlation targets must lie in [-1, 1]")
     zz, zz2, xx, xx2, zz_mix, xx_mix, zx, xz = targets[:8].tolist()
 

@@ -188,6 +188,20 @@ class TestReproducePaper:
         assert rows["visibility"]["derived_from_paper"] == pytest.approx(0.952116, abs=1e-6)
         assert doc["all_pass"] is True
 
+    def test_text_document_prints_the_json_rows_at_5_decimals(self):
+        text = run_subprocess(["reproduce-paper", "--seed", "0", "--format", "text"])
+        doc = run_subprocess(["reproduce-paper", "--seed", "0"])
+        assert (text.returncode, doc.returncode) == (0, 0), text.stderr
+        rows = json.loads(doc.stdout)["rows"]
+        lines = text.stdout.decode().splitlines()
+        assert len(rows) == 13
+        assert [line.split()[0] for line in lines[3:-1]] == [row["name"] for row in rows]
+        for line, row in zip(lines[3:-1], rows):
+            numbers = [row[key] for key in ("paper", "derived_from_paper", "exact_qm", "simulated")]
+            expected = ["-" if x is None else format(x, ".5f") for x in numbers]
+            assert line.split()[1:] == expected + ["yes"], row["name"]
+        assert lines[-1] == "all rows pass"
+
     def test_seed_73_passes_the_m_fidelity_row(self):
         # m_fidelity = (1 - E(M))/2 is judged at half the E(M) row's tolerance,
         # sampling margin included; a fixed 0.015 failed this seed

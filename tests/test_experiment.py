@@ -503,3 +503,64 @@ def test_the_report_document_derives_its_mode_from_the_schedule():
     sampled = run_schedule(RHO_IDEAL, Schedule(), seed=5).to_dict()
     assert list(sampled)[:4] == ["mode", "rng", "schedule", "correlations"]
     assert (sampled["mode"], sampled["rng"]) == ("sampled", {"algorithm": "philox4x64", "seed": 5})
+
+
+def _zz_table(plus, minus, dtype=int):
+    # plus events in a bin where the ZZ statistic is +1, minus in a -1 bin
+    signs = _statistic_signs("ZZ")
+    counts = [dtype(0)] * DIM
+    counts[int(np.flatnonzero(signs > 0)[0])] = dtype(plus)
+    counts[int(np.flatnonzero(signs < 0)[0])] = dtype(minus)
+    return CountTable(tuple(counts), plus + minus)
+
+
+@pytest.mark.parametrize("dtype", [int, np.uint64, np.int64])
+def test_estimate_correlation_scores_counts_above_2_53_exactly(dtype):
+    # a float64 dot product rounds 2**60 + 1 to 2**60 and scores E = 0
+    est = estimate_correlation(_zz_table(2**60 + 1, 2**60, dtype), "ZZ")
+    assert est.E == 1 / (2**61 + 1)
+    assert est.n == 2**61 + 1
+
+
+def test_estimate_correlation_scores_python_counts_of_2_64_and_more():
+    est = estimate_correlation(_zz_table(2**64, 2**64 + 3), "ZZ")
+    assert est.E == -3 / (2**65 + 3)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(True,) * DIM, (np.True_,) * DIM, (1,) * (DIM - 1) + (True,), (np.float64(1.0),) * DIM],
+    ids=["bool", "numpy-bool", "one-bool", "numpy-float"],
+)
+def test_estimate_correlation_rejects_boolean_and_float_counts(counts):
+    with pytest.raises(ValueError, match="counts must be integers"):
+        estimate_correlation(CountTable(counts, sum(counts)), "ZZ")
+
+
+@pytest.mark.parametrize(
+    "counts, total, message",
+    [
+        ((1,) * (DIM - 1), DIM - 1, f"needs {DIM} bins"),
+        ((-1, 2) + (0,) * (DIM - 2), 1, "non-negative"),
+        ((1,) * DIM, DIM - 1, "do not sum to total"),
+    ],
+    ids=["bins", "negative", "sum"],
+)
+def test_count_table_rejects_each_defect(counts, total, message):
+    with pytest.raises(ValueError, match=message):
+        CountTable(counts, total)
+
+
+# (I + t ZZ)/16 has Born weight (1 + t s)/16 on a ZZ-pair outcome of statistic s
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.eye(DIM) / DIM + 1e-6j * correlation_operator("ZZ"), "acquired an imaginary part"),
+        ((np.eye(DIM) + 3 * correlation_operator("ZZ")) / DIM, "negative outcome probability -1.250e-01"),
+        (2 * np.eye(DIM) / DIM, "do not sum to 1"),
+    ],
+    ids=["imaginary", "negative", "sum"],
+)
+def test_outcome_distribution_rejects_each_defect(rho, message):
+    with pytest.raises(ValueError, match=message):
+        outcome_distribution(rho, context_pair("ZZ"))

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from avnsim import lhv
+from avnsim._tables import SYMBOLS
+
 from avnsim.observables import (
     CORRELATIONS,
     CORRELATION_BY_ID,
@@ -17,14 +20,19 @@ from avnsim.observables import (
 from avnsim.qstate import (
     DIM,
     ConsistencyError,
+    Dof,
     KET_H,
     KET_L,
     KET_R,
     KET_V,
+    PAULI_X,
+    PAULI_Z,
     Party,
+    SubsystemSlot,
     commutator_norm,
     expectation,
     is_dichotomic,
+    lift_local,
     tensor4,
 )
 from avnsim.source import build_psi
@@ -153,3 +161,48 @@ def test_correlation_table_signs():
 def test_unknown_correlation_id_rejected():
     with pytest.raises(KeyError):
         correlation_operator("YY")
+
+
+def _hand_made_observables():
+    # the twelve operators written out one by one, as the package once did
+    z_a = lift_local(PAULI_Z, SubsystemSlot(Party.ALICE, Dof.POL))
+    x_a = lift_local(PAULI_X, SubsystemSlot(Party.ALICE, Dof.POL))
+    zp_a = lift_local(PAULI_Z, SubsystemSlot(Party.ALICE, Dof.PATH))
+    xp_a = lift_local(PAULI_X, SubsystemSlot(Party.ALICE, Dof.PATH))
+    z_b = lift_local(PAULI_Z, SubsystemSlot(Party.BOB, Dof.POL))
+    x_b = lift_local(PAULI_X, SubsystemSlot(Party.BOB, Dof.POL))
+    zp_b = lift_local(PAULI_Z, SubsystemSlot(Party.BOB, Dof.PATH))
+    xp_b = lift_local(PAULI_X, SubsystemSlot(Party.BOB, Dof.PATH))
+    return {
+        "zA": z_a,
+        "xA": x_a,
+        "zA'": zp_a,
+        "xA'": xp_a,
+        "zB": z_b,
+        "xB": x_b,
+        "zB'": zp_b,
+        "xB'": xp_b,
+        "zAzA'": z_a @ zp_a,
+        "xAxA'": x_a @ xp_a,
+        "zBxB'": z_b @ xp_b,
+        "xBzB'": x_b @ zp_b,
+    }
+
+
+def test_each_local_observable_is_built_from_its_symbol_byte_for_byte():
+    table = _hand_made_observables()
+    assert set(table) == set(SYMBOLS)
+    for symbol in SYMBOLS:
+        op = local_observable(symbol)
+        assert not op.flags.writeable
+        assert op.tobytes() == table[symbol].tobytes(), symbol
+
+
+@pytest.mark.parametrize("symbol", ["zAzA'xAxA'", "yA"])
+def test_a_name_outside_the_twelve_symbols_is_unknown(symbol):
+    with pytest.raises(KeyError, match="unknown observable symbol"):
+        local_observable(symbol)
+
+
+def test_the_symbols_are_one_table_for_lhv_and_observables():
+    assert lhv.SYMBOLS is SYMBOLS

@@ -20,13 +20,15 @@ from avnsim.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    assert_density_matrix,
+    assert_state,
     commutator_norm,
     expectation,
     lift_local,
     mixed_expectation,
     tensor4,
 )
-from avnsim.observables import bell_operator, local_observable
+from avnsim.observables import bell_operator, correlation_operator, local_observable
 from avnsim.source import build_psi
 
 ALICE_POL = SubsystemSlot(Party.ALICE, Dof.POL)
@@ -211,3 +213,36 @@ def test_mixed_expectation_flags_imaginary_residue():
     obs = lift_local(PAULI_X, SubsystemSlot(Party.BOB, Dof.PATH))
     with pytest.raises(ConsistencyError, match="imaginary"):
         mixed_expectation(obs, rho_bad)
+
+
+# (I + t ZZ)/16 is Hermitian with unit trace; its eigenvalues are (1 +- t)/16
+_ZZ = correlation_operator("ZZ")
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.eye(4) / 4, r"^density matrix must be 16x16, got \(4, 4\)$"),
+        (np.eye(DIM) / DIM + 1e-6j * _ZZ, "not Hermitian"),
+        (2 * np.eye(DIM) / DIM, "trace differs from 1"),
+        ((np.eye(DIM) + 3 * _ZZ) / DIM, "not PSD: min eigenvalue -1.250e-01"),
+    ],
+    ids=["shape", "hermitian", "trace", "psd"],
+)
+def test_assert_density_matrix_rejects_each_defect(rho, message):
+    with pytest.raises(ValueError, match=message):
+        assert_density_matrix(rho)
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        (np.ones(4) / 2, r"^state vector must have shape \(16,\), got \(4,\)$"),
+        (np.full(DIM, np.nan), "non-finite amplitudes"),
+        (np.full(DIM, np.inf * 1j), "non-finite amplitudes"),
+    ],
+    ids=["shape", "nan", "inf-imaginary"],
+)
+def test_assert_state_rejects_each_defect(psi, message):
+    with pytest.raises(ValueError, match=message):
+        assert_state(psi)
