@@ -27,6 +27,8 @@ def _load_on_first_use(name: str):
     return module
 
 
+_frame = _load_on_first_use("_frame")
+_records = _load_on_first_use("_records")
 apparatus = _load_on_first_use("apparatus")
 cli = _load_on_first_use("cli")
 experiment = _load_on_first_use("experiment")

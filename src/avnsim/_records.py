@@ -1,0 +1,211 @@
+"""Run configuration and report records, in the standard library alone.
+
+The config blocks (source, noise, schedule, seed) are parsed and checked
+here, and an ExperimentReport is rendered into its document here, so
+`avnsim predict` builds its config and its report without numpy.  source
+and experiment re-export these names, so each is one object whichever
+module it is read from.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Mapping
+
+from ._tables import CORRELATION_BY_ID
+
+RNG_ALGORITHM = "philox4x64"
+
+DEFAULT_PAIR_RATE = 3.2e4
+DEFAULT_DURATION = 1.0
+# largest Poisson mean numpy's generator accepts ("lam value too large" above
+# it): int64 max - sqrt(int64 max) * 10, evaluated in float64
+POISSON_LAM_MAX = 9.223372006484771e18
+
+
+def _canonical_phase(phi: float, where: str) -> float:
+    """Map a finite angle into [-pi, pi); where names the field in the error."""
+    if not math.isfinite(phi):
+        raise ValueError(f"{where} must be finite, got {phi}")
+    return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def _config_block(d, where: str, known) -> dict:
+    """Check that a config block is a JSON object with only known fields."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r:.40}")
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
+    return d
+
+
+def _config_float(value, where: str) -> float:
+    """A JSON number (not a boolean or string) as a float; where names the field."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be a number in float range, got {value!r:.40}")
+
+
+@dataclass(frozen=True)
+class SourceConfig:
+    phi: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", _canonical_phase(self.phi, "source.phi"))
+
+    def to_dict(self) -> dict:
+        return {"phi": self.phi}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SourceConfig":
+        _config_block(d, "source", {"phi"})
+        return cls(phi=_config_float(d.get("phi", 0.0), "source.phi"))
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    white_noise_weight: float = 0.0
+    pol_visibility: float = 1.0
+    path_visibility: float = 1.0
+    phase_offset: float = 0.0
+
+    def __post_init__(self):
+        for name in ("white_noise_weight", "pol_visibility", "path_visibility"):
+            v = float(getattr(self, name))
+            if not (0.0 <= v <= 1.0):
+                raise ValueError(f"noise.{name} must lie in [0, 1], got {v}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "phase_offset", _canonical_phase(float(self.phase_offset), "noise.phase_offset"))
+
+    def to_dict(self) -> dict:
+        return {
+            "white_noise_weight": self.white_noise_weight,
+            "pol_visibility": self.pol_visibility,
+            "path_visibility": self.path_visibility,
+            "phase_offset": self.phase_offset,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NoiseModel":
+        _config_block(d, "noise", cls.__dataclass_fields__)
+        return cls(**{k: _config_float(v, f"noise.{k}") for k, v in d.items()})
+
+
+def check_seed(seed: int) -> int:
+    """Reject a seed the 64-bit Philox key cannot hold, rather than wrap it."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    return seed
+
+
+@dataclass(frozen=True)
+class CorrelationEstimate:
+    id: str
+    E: float
+    stderr: float
+    n: int
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Pairs per second and collection time, with per-correlation overrides."""
+
+    pair_rate: float = DEFAULT_PAIR_RATE
+    duration: float = DEFAULT_DURATION
+    overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        entries = {"schedule": (self.pair_rate, self.duration)}
+        for corr_id, entry in self.overrides.items():
+            if corr_id not in CORRELATION_BY_ID:
+                raise ValueError(f"override for unknown correlation {corr_id!r}")
+            entries[f"override for {corr_id!r}"] = entry
+        for where, (rate, duration) in entries.items():
+            for name, value in (("pair_rate", rate), ("duration", duration)):
+                if not 0.0 < value < math.inf:
+                    raise ValueError(f"{where}: {name} must be positive and finite, got {value}")
+            if rate * duration > POISSON_LAM_MAX:
+                raise ValueError(f"{where}: pair_rate * duration = {rate * duration:g} exceeds the Poisson limit {POISSON_LAM_MAX:g}")
+
+    def mean_counts(self, corr_id: str) -> float:
+        rate, duration = self.overrides.get(corr_id, (self.pair_rate, self.duration))
+        return rate * duration
+
+    def to_dict(self) -> dict:
+        return {
+            "pair_rate": self.pair_rate,
+            "duration": self.duration,
+            "overrides": {
+                k: {"pair_rate": r, "duration": d} for k, (r, d) in sorted(self.overrides.items())
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Schedule":
+        _config_block(d, "schedule", {"pair_rate", "duration", "overrides"})
+        rate = _config_float(d.get("pair_rate", DEFAULT_PAIR_RATE), "schedule.pair_rate")
+        duration = _config_float(d.get("duration", DEFAULT_DURATION), "schedule.duration")
+        overrides = {}
+        entries = _config_block(d.get("overrides", {}), "schedule.overrides", CORRELATION_BY_ID)
+        for corr_id, entry in entries.items():
+            where = f"schedule.overrides.{corr_id}"
+            _config_block(entry, where, {"pair_rate", "duration"})
+            overrides[corr_id] = (
+                _config_float(entry.get("pair_rate", rate), f"{where}.pair_rate"),
+                _config_float(entry.get("duration", duration), f"{where}.duration"),
+            )
+        return cls(pair_rate=rate, duration=duration, overrides=overrides)
+
+
+@dataclass(frozen=True)
+class ExperimentReport:
+    estimates: tuple[CorrelationEstimate, ...]
+    bell_value: float
+    bell_stderr: float
+    sigma_violation: float
+    m_fidelity: float
+    m_histogram: tuple[float, ...]
+    # both None for an exact report; to_dict derives the mode from them
+    seed: int | None
+    schedule: Schedule | None
+
+    def estimate(self, corr_id: str) -> CorrelationEstimate:
+        for est in self.estimates:
+            if est.id == corr_id:
+                return est
+        raise KeyError(corr_id)
+
+    def to_dict(self) -> dict:
+        doc: dict = {"mode": "exact"}
+        if self.schedule is not None:
+            doc["mode"] = "sampled"
+            doc["rng"] = {"algorithm": RNG_ALGORITHM, "seed": self.seed}
+            doc["schedule"] = self.schedule.to_dict()
+        doc["correlations"] = [
+            {
+                "id": est.id,
+                "sign": CORRELATION_BY_ID[est.id].sign,
+                "E": est.E,
+                "stderr": est.stderr,
+                "n": est.n,
+            }
+            for est in self.estimates
+        ]
+        doc["bell_value"] = self.bell_value
+        doc["bell_stderr"] = self.bell_stderr
+        doc["sigma_violation"] = self.sigma_violation
+        doc["m_fidelity"] = self.m_fidelity
+        doc["m_histogram"] = list(self.m_histogram)
+        return doc
+
+
+def _sigma_violation(bell: float, stderr: float) -> float:
+    """Standard errors by which bell exceeds the local-realistic bound 7."""
+    if stderr > 0.0:
+        return (bell - 7.0) / stderr
+    return math.inf if bell > 7.0 else (-math.inf if bell < 7.0 else math.nan)

@@ -18,9 +18,9 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-# modules are read at call time, so `avnsim lhv` never loads source or
-# experiment, and with them numpy
-from . import experiment, lhv, reference, source
+# modules are read at call time, so `avnsim lhv` and `avnsim predict` never
+# load source or experiment, and with them numpy
+from . import _frame, _records, experiment, lhv, reference, source
 
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "text")
@@ -125,9 +125,9 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    source: source.SourceConfig
-    noise: source.NoiseModel
-    schedule: experiment.Schedule
+    source: _records.SourceConfig
+    noise: _records.NoiseModel
+    schedule: _records.Schedule
     seed: int
     output_format: str
 
@@ -159,30 +159,30 @@ def build_run_config(raw: dict, args: argparse.Namespace) -> RunConfig:
         raise ValueError("seed must be an integer")
     if getattr(args, "seed", None) is not None:
         seed = args.seed
-    experiment.check_seed(seed)
+    _records.check_seed(seed)
     output_format = raw.get("output_format", "json")
     if getattr(args, "format", None) is not None:
         output_format = args.format
     if output_format not in FORMATS:
         raise ValueError(f"output_format must be one of {FORMATS}")
     return RunConfig(
-        source=source.SourceConfig.from_dict(raw.get("source", {})),
-        noise=source.NoiseModel.from_dict(raw.get("noise", {})),
-        schedule=experiment.Schedule.from_dict(raw.get("schedule", {})),
+        source=_records.SourceConfig.from_dict(raw.get("source", {})),
+        noise=_records.NoiseModel.from_dict(raw.get("noise", {})),
+        schedule=_records.Schedule.from_dict(raw.get("schedule", {})),
         seed=seed,
         output_format=output_format,
     )
 
 
-def _density_matrix(config: RunConfig):
-    return source.apply_noise(source.build_psi(config.source), config.noise)
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_predict(config: RunConfig) -> tuple[str, int]:
-    report = experiment.predict_exact(_density_matrix(config))
-    doc = report.to_dict()
+    """The exact report in closed form, from the Pauli frame (_frame), without numpy.
+
+    experiment.predict_exact on the dense density matrix is the frame's
+    oracle in the tests; simulate and reproduce-paper keep that path.
+    """
+    doc = _frame.predict(config.source, config.noise).to_dict()
     if config.output_format == "csv":
         return report_csv(doc), 0
     if config.output_format == "text":
@@ -191,7 +191,7 @@ def cmd_predict(config: RunConfig) -> tuple[str, int]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[str, int]:
-    rho = _density_matrix(config)
+    rho = source.apply_noise(source.build_psi(config.source), config.noise)
     report = experiment.run_schedule(rho, config.schedule, config.seed)
     doc = report.to_dict()
     if config.output_format == "csv":
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             fmt = args.format or "json"
             if fmt == "csv":
                 raise ValueError("the comparison document has no CSV form; use json or text")
-            seed = experiment.check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
+            seed = _records.check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
             payload, code = cmd_reproduce_paper(seed, fmt)
         _emit(payload, args.out)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

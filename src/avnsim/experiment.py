@@ -19,12 +19,22 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
+from ._records import (  # re-exported: the report records live in the numpy-free _records
+    DEFAULT_DURATION,
+    DEFAULT_PAIR_RATE,
+    POISSON_LAM_MAX,
+    RNG_ALGORITHM,
+    CorrelationEstimate,
+    ExperimentReport,
+    Schedule,
+    _sigma_violation,
+    check_seed,
+)
 from .observables import (
     CORRELATIONS,
     CORRELATION_BY_ID,
@@ -36,14 +46,6 @@ from .observables import (
 )
 from .apparatus import build_apparatus
 from .qstate import ATOL_SPECTRAL, DIM, INDEX_BITS, Party, assert_density_shape, real_trace
-from .source import _config_block, _config_float
-
-RNG_ALGORITHM = "philox4x64"
-
-DEFAULT_PAIR_RATE = 3.2e4
-DEFAULT_DURATION = 1.0
-# largest Poisson mean numpy's generator accepts ("lam value too large" above it)
-POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 
 
 @dataclass(frozen=True)
@@ -127,15 +129,9 @@ class CountTable:
             raise ValueError(f"count table needs {DIM} bins")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be non-negative")
-        if sum(self.counts) != self.total:
+        # summed as Python integers: numpy fixed-width counts wrap on overflow
+        if sum(int(c) if isinstance(c, numbers.Integral) else c for c in self.counts) != self.total:
             raise ValueError("counts do not sum to total")
-
-
-def check_seed(seed: int) -> int:
-    """Reject a seed the 64-bit Philox key cannot hold, rather than wrap it."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return seed
 
 
 def _stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -159,14 +155,6 @@ def sample_events(dist, n: int, seed: int) -> CountTable:
     return _draw_counts(_stream(seed, 0), p, n)
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    id: str
-    E: float
-    stderr: float
-    n: int
-
-
 def _estimate(corr_id: str, counts: np.ndarray, n: int) -> CorrelationEstimate:
     """E = (counts . signs) / n for integer counts of n events, summed exactly."""
     e = int(np.dot(counts, _statistic_signs(corr_id))) / n
@@ -188,106 +176,6 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
     # and has no integer type for counts of 2**64 or more
     counts = np.array([int(c) for c in table.counts], dtype=object)
     return _estimate(corr_id, counts, int(table.total))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Pairs per second and collection time, with per-correlation overrides."""
-
-    pair_rate: float = DEFAULT_PAIR_RATE
-    duration: float = DEFAULT_DURATION
-    overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        entries = {"schedule": (self.pair_rate, self.duration)}
-        for corr_id, entry in self.overrides.items():
-            if corr_id not in CORRELATION_BY_ID:
-                raise ValueError(f"override for unknown correlation {corr_id!r}")
-            entries[f"override for {corr_id!r}"] = entry
-        for where, (rate, duration) in entries.items():
-            for name, value in (("pair_rate", rate), ("duration", duration)):
-                if not 0.0 < value < math.inf:
-                    raise ValueError(f"{where}: {name} must be positive and finite, got {value}")
-            if rate * duration > POISSON_LAM_MAX:
-                raise ValueError(f"{where}: pair_rate * duration = {rate * duration:g} exceeds the Poisson limit {POISSON_LAM_MAX:g}")
-
-    def mean_counts(self, corr_id: str) -> float:
-        rate, duration = self.overrides.get(corr_id, (self.pair_rate, self.duration))
-        return rate * duration
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_rate": self.pair_rate,
-            "duration": self.duration,
-            "overrides": {
-                k: {"pair_rate": r, "duration": d} for k, (r, d) in sorted(self.overrides.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        _config_block(d, "schedule", {"pair_rate", "duration", "overrides"})
-        rate = _config_float(d.get("pair_rate", DEFAULT_PAIR_RATE), "schedule.pair_rate")
-        duration = _config_float(d.get("duration", DEFAULT_DURATION), "schedule.duration")
-        overrides = {}
-        entries = _config_block(d.get("overrides", {}), "schedule.overrides", CORRELATION_BY_ID)
-        for corr_id, entry in entries.items():
-            where = f"schedule.overrides.{corr_id}"
-            _config_block(entry, where, {"pair_rate", "duration"})
-            overrides[corr_id] = (
-                _config_float(entry.get("pair_rate", rate), f"{where}.pair_rate"),
-                _config_float(entry.get("duration", duration), f"{where}.duration"),
-            )
-        return cls(pair_rate=rate, duration=duration, overrides=overrides)
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    estimates: tuple[CorrelationEstimate, ...]
-    bell_value: float
-    bell_stderr: float
-    sigma_violation: float
-    m_fidelity: float
-    m_histogram: tuple[float, ...]
-    # both None for an exact report; to_dict derives the mode from them
-    seed: int | None
-    schedule: Schedule | None
-
-    def estimate(self, corr_id: str) -> CorrelationEstimate:
-        for est in self.estimates:
-            if est.id == corr_id:
-                return est
-        raise KeyError(corr_id)
-
-    def to_dict(self) -> dict:
-        doc: dict = {"mode": "exact"}
-        if self.schedule is not None:
-            doc["mode"] = "sampled"
-            doc["rng"] = {"algorithm": RNG_ALGORITHM, "seed": self.seed}
-            doc["schedule"] = self.schedule.to_dict()
-        doc["correlations"] = [
-            {
-                "id": est.id,
-                "sign": CORRELATION_BY_ID[est.id].sign,
-                "E": est.E,
-                "stderr": est.stderr,
-                "n": est.n,
-            }
-            for est in self.estimates
-        ]
-        doc["bell_value"] = self.bell_value
-        doc["bell_stderr"] = self.bell_stderr
-        doc["sigma_violation"] = self.sigma_violation
-        doc["m_fidelity"] = self.m_fidelity
-        doc["m_histogram"] = list(self.m_histogram)
-        return doc
-
-
-def _sigma_violation(bell: float, stderr: float) -> float:
-    """Standard errors by which bell exceeds the local-realistic bound 7."""
-    if stderr > 0.0:
-        return (bell - 7.0) / stderr
-    return math.inf if bell > 7.0 else (-math.inf if bell < 7.0 else math.nan)
 
 
 def _aggregate(estimates: list[CorrelationEstimate]) -> tuple[float, float, float]:

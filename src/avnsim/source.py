@@ -13,6 +13,11 @@ misadjusted phase (modeled as an additive path-phase offset).  The fit
 calibrates the knobs to the eight measured non-M rows, which fix only
 s = 1 - w, a = vp**2 and b = vq**2 * cos(delta); it reports the canonical
 model (delta = 0 or pi, vq = sqrt(|b|)), and degenerate means s = 0.
+
+`avnsim predict` reads the same state and channel in closed form, as
+Pauli-word expectations (_frame), without numpy; this dense path is its
+oracle in the tests, and simulate and the fit use it.  SourceConfig and
+NoiseModel live in the numpy-free _records and are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,80 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
+from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block, _config_float
 from .observables import correlation_expectations
 from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS, assert_density_matrix
-
-
-def _canonical_phase(phi: float, where: str) -> float:
-    """Map a finite angle into [-pi, pi); where names the field in the error."""
-    if not math.isfinite(phi):
-        raise ValueError(f"{where} must be finite, got {phi}")
-    return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def _config_block(d, where: str, known) -> dict:
-    """Check that a config block is a JSON object with only known fields."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, got {d!r:.40}")
-    unknown = set(d) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
-    return d
-
-
-def _config_float(value, where: str) -> float:
-    """A JSON number (not a boolean or string) as a float; where names the field."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"{where} must be a number in float range, got {value!r:.40}")
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _canonical_phase(self.phi, "source.phi"))
-
-    def to_dict(self) -> dict:
-        return {"phi": self.phi}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceConfig":
-        _config_block(d, "source", {"phi"})
-        return cls(phi=_config_float(d.get("phi", 0.0), "source.phi"))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    white_noise_weight: float = 0.0
-    pol_visibility: float = 1.0
-    path_visibility: float = 1.0
-    phase_offset: float = 0.0
-
-    def __post_init__(self):
-        for name in ("white_noise_weight", "pol_visibility", "path_visibility"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"noise.{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "phase_offset", _canonical_phase(float(self.phase_offset), "noise.phase_offset"))
-
-    def to_dict(self) -> dict:
-        return {
-            "white_noise_weight": self.white_noise_weight,
-            "pol_visibility": self.pol_visibility,
-            "path_visibility": self.path_visibility,
-            "phase_offset": self.phase_offset,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        _config_block(d, "noise", cls.__dataclass_fields__)
-        return cls(**{k: _config_float(v, f"noise.{k}") for k, v in d.items()})
 
 
 def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:

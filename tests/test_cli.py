@@ -69,6 +69,13 @@ class TestPredict:
         assert "bell_value = 9.00000000" in text
         assert "M outcomes, LR prediction" in text
 
+    @pytest.mark.parametrize("fmt, name", [("json", "predict.json"), ("csv", "predict.csv"), ("text", "predict.txt")])
+    def test_stdout_is_the_committed_document(self, fmt, name, capsys):
+        # the json and text files are diffed against the numpy-free run in CI
+        assert main(["predict", "--format", fmt]) == 0
+        with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+            assert capsys.readouterr().out == fh.read()
+
 
 class TestLhv:
     def test_certificate_checks_and_exit_code(self, tmp_path):

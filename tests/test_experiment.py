@@ -551,6 +551,24 @@ def test_count_table_rejects_each_defect(counts, total, message):
         CountTable(counts, total)
 
 
+@pytest.mark.parametrize(
+    "big",
+    [(np.uint64(2**63),) * 2, (np.int64(2**62),) * 4],
+    ids=["uint64", "int64"],
+)
+def test_count_table_sums_fixed_width_counts_without_wrapping(big):
+    # summed in their own dtype these wrap to 0 at 2**64
+    counts = big + (0,) * (DIM - len(big))
+    assert CountTable(counts, 2**64).total == 2**64
+    with pytest.raises(ValueError, match="do not sum to total"):
+        CountTable(counts, 0)
+
+
+def test_poisson_limit_is_numpys_largest_mean():
+    imax = np.iinfo(np.int64).max
+    assert POISSON_LAM_MAX == float(imax - np.sqrt(imax) * 10)
+
+
 # (I + t ZZ)/16 has Born weight (1 + t s)/16 on a ZZ-pair outcome of statistic s
 @pytest.mark.parametrize(
     "rho, message",

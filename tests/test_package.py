@@ -53,12 +53,29 @@ def test_bare_import_loads_no_numpy_and_registers_each_module():
     assert same_party
 
 
-@pytest.mark.parametrize("args", [["lhv"], ["lhv", "--format", "text"]])
-def test_lhv_certificate_runs_without_numpy(args):
+def assert_runs_without_numpy(args, stdin=b""):
+    """The command exits 0 with numpy blocked, prints nothing to stderr and matches a normal run."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    blocked = subprocess.run([sys.executable, "-c", NO_NUMPY_MAIN, *args], capture_output=True, env=env)
-    normal = subprocess.run([sys.executable, "-m", "avnsim", *args], capture_output=True, env=env)
+    blocked = subprocess.run([sys.executable, "-c", NO_NUMPY_MAIN, *args], input=stdin, capture_output=True, env=env)
+    normal = subprocess.run([sys.executable, "-m", "avnsim", *args], input=stdin, capture_output=True, env=env)
     assert blocked.returncode == 0, blocked.stderr.decode()
     assert normal.returncode == 0
     assert blocked.stdout == normal.stdout
     assert blocked.stderr == b""
+
+
+@pytest.mark.parametrize("args", [["lhv"], ["lhv", "--format", "text"]])
+def test_lhv_certificate_runs_without_numpy(args):
+    assert_runs_without_numpy(args)
+
+
+NOISY_CONFIG = {
+    "source": {"phi": 0.7},
+    "noise": {"white_noise_weight": 0.1, "pol_visibility": 0.9, "path_visibility": 0.8, "phase_offset": -1.2},
+}
+
+
+@pytest.mark.parametrize("config", [{}, NOISY_CONFIG], ids=["default", "noisy"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_predict_runs_without_numpy(fmt, config):
+    assert_runs_without_numpy(["predict", "--format", fmt, "--config", "-"], json.dumps(config).encode())
