@@ -12,7 +12,8 @@ A run draws a Poisson number n of pairs per correlation, samples the 16
 outcome counts c and estimates E = (c . s)/n = [C(+1) - C(-1)]/n as one
 exact integer dot product, with binomial standard error sqrt((1 - E^2)/n).
 Each correlation draws from its own Philox stream keyed by (seed,
-correlation index), so reports are bit-reproducible in any order.
+correlation index), one generator re-keyed per run, so reports are
+bit-reproducible in any order; the nine Born rows are one contraction.
 """
 
 from __future__ import annotations
@@ -97,6 +98,15 @@ def _statistic_signs(corr_id: str) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=None)
+def _born_stack() -> np.ndarray:
+    """(9, 16, 16, 16) stack of the nine pairs' joint projectors, in CORRELATIONS order."""
+    pairs = [context_pair(corr.id) for corr in CORRELATIONS]
+    stack = np.array([_joint_projectors.__wrapped__(pair.alice, pair.bob) for pair in pairs])
+    stack.setflags(write=False)
+    return stack
+
+
 def _born_weights(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
     """Complex trace(rho @ P) for the 16 joint outcome projectors P of a pair."""
     return np.einsum("oij,ji->o", _joint_projectors(pair.alice, pair.bob), rho)
@@ -134,9 +144,13 @@ class CountTable:
             raise ValueError("counts do not sum to total")
 
 
-def _stream(seed: int, stream_index: int) -> np.random.Generator:
+def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) -> np.random.Generator:
+    """The (seed, stream index) Philox stream from its start, on bits re-keyed if given."""
+    bits = np.random.Philox() if bits is None else bits
     key = np.array([check_seed(seed), stream_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    bits.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                  "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
@@ -188,20 +202,21 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
     """Sample all nine correlations and aggregate the Bell statistics.
 
     Event counts are Poisson around rate*duration; each correlation uses
-    its own (seed, index) Philox stream, so identical inputs give
-    bit-identical reports regardless of evaluation order.  A correlation
-    that draws no events reports E and stderr as NaN, and so do the Bell
-    value, its stderr and sigma (any row) and the M fidelity and
-    histogram (the M row).  The nine outcome distributions are computed
-    and checked as one table before any draw.
+    its own (seed, index) Philox stream, one generator re-keyed to each,
+    so identical inputs give bit-identical reports regardless of
+    evaluation order.  A correlation that draws no events reports E and
+    stderr as NaN, and so do the Bell value, its stderr and sigma (any
+    row) and the M fidelity and histogram (the M row).  The nine outcome
+    distributions are one contraction with the stacked projectors,
+    checked as one table before any draw.
     """
-    rho = assert_density_shape(rho)
-    dists = _probabilities(np.array([_born_weights(rho, context_pair(corr.id)) for corr in CORRELATIONS]))
+    dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
+    bits = np.random.Philox()
     estimates = []
     m_histogram = (math.nan,) * DIM
     m_fidelity = math.nan
     for idx, (corr, dist) in enumerate(zip(CORRELATIONS, dists)):
-        rng = _stream(seed, idx)
+        rng = _stream(seed, idx, bits)
         n = int(rng.poisson(schedule.mean_counts(corr.id)))
         if n == 0:
             # nothing counted: the row and every aggregate that reads it are

@@ -30,7 +30,7 @@ import numpy as np
 from . import qstate
 from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block, _config_float
 from .observables import correlation_expectations
-from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS, assert_density_matrix
+from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS
 
 
 def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
@@ -71,8 +71,8 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
         rho = (1 - w) * D(|psi><psi|) + w * I/16
 
     The dephasing mask is a positive-semidefinite kernel, so the output is
-    always a valid density matrix.  Its trace is (1 - w) |psi|^2 + w, so
-    the state's squared norm is held to the trace tolerance at entry.
+    a density matrix; a property test checks that, not this function.  Its
+    trace is (1 - w) |psi|^2 + w, so |psi|^2 is held to tolerance at entry.
     """
     psi = qstate.assert_state(state, atol=ATOL_ALGEBRA / 2)
     # phase on Alice's path qubit (index bit 1), as a matrix product: the
@@ -82,7 +82,7 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     damp = (model.pol_visibility ** _POL_MISMATCH) * (model.path_visibility ** _PATH_MISMATCH)
     w = model.white_noise_weight
     rho = (1.0 - w) * (damp * rho) + w * np.eye(DIM) / DIM
-    return assert_density_matrix(rho)
+    return rho
 
 
 @dataclass(frozen=True)

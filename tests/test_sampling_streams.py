@@ -1,0 +1,81 @@
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avnsim import experiment
+from avnsim.experiment import Schedule, _born_stack, _born_weights, _joint_projectors, _stream, context_pair
+from avnsim.observables import CORRELATIONS
+from avnsim.qstate import DIM
+from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
+
+_SEEDS = [0, 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _fresh(seed, idx):
+    # an independent derivation: a new Philox whose key is (seed, index)
+    return np.random.Philox(key=np.array([seed, idx], dtype=np.uint64))
+
+
+def _dirty(bits):
+    # leave the generator mid-stream, with buffered words and a spare 32-bit half
+    rng = np.random.Generator(bits)
+    rng.poisson(5.0)
+    rng.integers(2**32, dtype=np.uint32)
+    bits.random_raw(3)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_one_rekeyed_generator_gives_every_stream_of_a_seed(seed):
+    bits = np.random.Philox()
+    for idx in range(len(CORRELATIONS)):
+        _dirty(bits)
+        first = _stream(seed, idx, bits).bit_generator.random_raw(256)
+        assert np.array_equal(first, _stream(seed, idx).bit_generator.random_raw(256))
+        assert np.array_equal(first, _fresh(seed, idx).random_raw(256))
+        # a second re-key of the same generator, after it has drawn, starts over
+        _dirty(bits)
+        assert np.array_equal(_stream(seed, idx, bits).bit_generator.random_raw(256), first)
+        _dirty(bits)
+        halves = _stream(seed, idx, bits).integers(2**32, size=9, dtype=np.uint32)
+        assert np.array_equal(halves, np.random.Generator(_fresh(seed, idx)).integers(2**32, size=9, dtype=np.uint32))
+
+
+def test_rekeying_checks_the_seed():
+    with pytest.raises(ValueError, match=str(2**64)):
+        _stream(2**64, 0, np.random.Philox())
+
+
+def test_the_born_stack_is_the_nine_pairs_read_only_in_correlation_order():
+    stack = _born_stack()
+    assert stack.shape == (len(CORRELATIONS), DIM, DIM, DIM)
+    assert stack.dtype == complex
+    assert not stack.flags.writeable
+    for row, corr in zip(stack, CORRELATIONS):
+        pair = context_pair(corr.id)
+        assert row.tobytes() == _joint_projectors(pair.alice, pair.bob).tobytes(), corr.id
+
+
+_UNIT = st.floats(0.0, 1.0)
+_ANGLE = st.floats(-math.pi, math.pi)
+_AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=2 * DIM, max_size=2 * DIM).filter(
+    lambda parts: math.fsum(x * x for x in parts) > 1e-6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=_AMPLITUDES, phi=_ANGLE, w=_UNIT, vp=_UNIT, vq=_UNIT, delta=_ANGLE)
+def test_the_stacked_born_table_equals_the_per_pair_rows_bit_for_bit(parts, phi, w, vp, vq, delta):
+    # the table run_schedule checks and draws from, against one einsum per pair
+    psi = np.array(parts[:DIM]) + 1j * np.array(parts[DIM:])
+    model = NoiseModel(w, vp, vq, delta)
+    for state in (psi / np.linalg.norm(psi), build_psi(SourceConfig(phi))):
+        rho = apply_noise(state, model)
+        with mock.patch.object(experiment, "_probabilities", wraps=experiment._probabilities) as checked:
+            experiment.run_schedule(rho, Schedule(pair_rate=2.0), 0)
+        (table,), _ = checked.call_args
+        rows = np.array([_born_weights(rho, context_pair(corr.id)) for corr in CORRELATIONS])
+        assert table.shape == rows.shape
+        assert table.tobytes() == rows.tobytes()
