@@ -29,6 +29,7 @@ def _load_on_first_use(name: str):
 
 _frame = _load_on_first_use("_frame")
 _records = _load_on_first_use("_records")
+_sampler = _load_on_first_use("_sampler")
 apparatus = _load_on_first_use("apparatus")
 cli = _load_on_first_use("cli")
 experiment = _load_on_first_use("experiment")

@@ -1,4 +1,4 @@
-"""Exact predictions in the Pauli frame, in the standard library alone.
+"""Exact predictions, Born tables and counting runs in the Pauli frame, in the standard library alone.
 
 Each of the twelve SYMBOLS is a four-qubit Pauli word (x, z, k), the
 operator i^k X^x Z^z, where x and z are masks over the basis-index bits
@@ -10,24 +10,40 @@ The noise channel of source.apply_noise scales each word on its own:
 
     Tr(rho P) = (1 - w) vp^|x & pol| vq^|x & path| <psi_d|P|psi_d> + w [P = I],
 
-where psi_d is the ideal state with the phase offset on path_A.  The M
-histogram follows from the four setting-c generators G_i, which are the
-M correlation's factors in readout-bit order:
+where psi_d is the ideal state with the phase offset on path_A.  Each
+correlation is read in one setting pair, whose four readout generators
+G_i (Alice's two, then Bob's, as CONTEXT_SYMBOLS lists them) give the 16
+outcome probabilities of its Born row:
 
     p(b) = 2^-4 sum_S (prod_{i in S} b_i) E(prod_{i in S} G_i).
 
-The dense path, experiment.predict_exact(source.apply_noise(...)), is
+This holds because each device is the ideal projective readout of its
+setting (apparatus_vs_projective).  predict prints the M row;
+simulate draws from all nine through _sampler, so `avnsim simulate` and
+`reproduce-paper` run without numpy.  The dense path
+(experiment.predict_exact and run_schedule on source.apply_noise) is
 this module's oracle in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import re
+from dataclasses import dataclass
 from functools import reduce
 
-from ._records import CorrelationEstimate, ExperimentReport, NoiseModel, SourceConfig, _sigma_violation
-from ._tables import CORRELATION_BY_ID, CORRELATIONS, SYMBOLS
+from . import _sampler
+from ._records import (
+    CorrelationEstimate,
+    ExperimentReport,
+    NoiseModel,
+    Schedule,
+    SourceConfig,
+    _aggregate,
+    _sigma_violation,
+)
+from ._tables import ATOL_ALGEBRA, ATOL_SPECTRAL, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party
 
 Word = tuple[int, int, int]
 
@@ -36,6 +52,7 @@ IDENTITY: Word = (0, 0, 0)
 _SLOT_BIT = {("A", ""): 8, ("A", "'"): 4, ("B", ""): 2, ("B", "'"): 1}
 _POL, _PATH = 0b1010, 0b0101
 _I_POWER = (1, 1j, -1, -1j)
+_BINS = 16
 
 
 def compose(p: Word, q: Word) -> Word:
@@ -58,16 +75,30 @@ def _product(symbols) -> Word:
     return reduce(compose, map(word, symbols), IDENTITY)
 
 
+def _generators(corr) -> tuple[str, ...]:
+    """The four readout generators of the setting pair that measures corr, in readout-bit order."""
+    out = ()
+    for party in Party:
+        factors = {symbol for p, symbol in corr.factors if p is party}
+        (pair,) = (g[:2] for (p, _), g in CONTEXT_SYMBOLS.items() if p is party and factors <= set(g[:2]))
+        out += pair
+    return out
+
+
 _CORRELATION_WORDS = tuple(_product(symbol for _, symbol in corr.factors) for corr in CORRELATIONS)
-_M_GENERATORS = tuple(symbol for _, symbol in CORRELATION_BY_ID["M"].factors)
 # generator i reads index bit 3 - i, so subset mask m holds G_i when bit 3 - i is set
-_M_SUBSET_WORDS = tuple(
-    _product(g for i, g in enumerate(_M_GENERATORS) if mask >> (3 - i) & 1) for mask in range(16)
+_ROW_SUBSET_WORDS = tuple(
+    tuple(reduce(compose, (g for i, g in enumerate(gens) if mask >> (3 - i) & 1), IDENTITY) for mask in range(_BINS))
+    for gens in (tuple(map(word, _generators(corr))) for corr in CORRELATIONS)
 )
+# a correlation's statistic is the product of its factors' readout bits:
+# the subset of its row's generators whose word is the correlation's word
+_STATISTIC_MASKS = tuple(words.index(p) for words, p in zip(_ROW_SUBSET_WORDS, _CORRELATION_WORDS))
+_M_ROW = len(CORRELATIONS) - 1
 
 
-def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
-    """predict_exact(apply_noise(build_psi(source), noise)) in closed form, equal to rounding."""
+def _expectation(source: SourceConfig, noise: NoiseModel):
+    """Tr(rho P) of a word P on the noisy source, as a function of P."""
     phase = cmath.exp(1j * (source.phi + noise.phase_offset))
     # |HRVL>, |HLVR>, |VRHL>, |VLHR>; the path phase sits on path_A = 1
     psi = {3: 0.5, 6: -0.5 * phase, 9: -0.5, 12: 0.5 * phase}
@@ -75,19 +106,59 @@ def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
 
     def expect(p: Word) -> float:
         x, z, k = p
-        pure = sum(psi.get(b ^ x, 0.0).conjugate() * amp * (-1) ** (z & b).bit_count() for b, amp in psi.items())
+        # summed in a loop, so a later interpreter's compensated sum() cannot move the last bit
+        pure = 0
+        for b, amp in psi.items():
+            pure += psi.get(b ^ x, 0.0).conjugate() * amp * (-1) ** (z & b).bit_count()
         damp = (1.0 - w) * noise.pol_visibility ** (x & _POL).bit_count() * noise.path_visibility ** (x & _PATH).bit_count()
         return damp * (_I_POWER[k] * pure).real + (w * _I_POWER[k].real if x == z == 0 else 0.0)
 
+    return expect
+
+
+def _born_rows(expect, rows) -> list[list[float]]:
+    """The checked, clipped 16-bin Born rows of the given correlation indices.
+
+    Each bin is summed left to right, as the sum() of Python 3.11 and
+    earlier does; later sum()s compensate round-off, and one ulp moves the
+    draws.  The checks are those of experiment._probabilities.
+    """
+    table = []
+    for k in rows:
+        subsets = [expect(p) for p in _ROW_SUBSET_WORDS[k]]
+        row = []
+        for b in range(_BINS):
+            acc = 0.0
+            for mask, e in enumerate(subsets):
+                acc = acc - e if (mask & b).bit_count() % 2 else acc + e
+            row.append(acc / 16)
+        table.append(row)
+    low = min(min(row) for row in table)
+    if low < -ATOL_SPECTRAL:
+        raise ValueError(f"negative outcome probability {low:.3e}")
+    if max(abs(math.fsum(row) - 1.0) for row in table) > ATOL_SPECTRAL:
+        raise ValueError("outcome probabilities do not sum to 1")
+    return [[p if p > 0.0 else 0.0 for p in row] for row in table]
+
+
+def born_rows(source: SourceConfig, noise: NoiseModel) -> list[list[float]]:
+    """The nine outcome distributions in CORRELATIONS order, as run_schedule checks them."""
+    return _born_rows(_expectation(source, noise), range(len(CORRELATIONS)))
+
+
+def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
+    """predict_exact(apply_noise(build_psi(source), noise)) in closed form, equal to rounding."""
+    expect = _expectation(source, noise)
     values = [expect(p) for p in _CORRELATION_WORDS]
-    bell = sum(corr.sign * e for corr, e in zip(CORRELATIONS, values))
-    subsets = [expect(p) for p in _M_SUBSET_WORDS]
-    hist = []
-    for b in range(16):
-        p = sum((-1) ** (mask & b).bit_count() * e for mask, e in enumerate(subsets)) / 16
-        hist.append(p if p > 0.0 else 0.0)
+    bell = 0.0
+    for corr, e in zip(CORRELATIONS, values):
+        bell += corr.sign * e
+    (hist,) = _born_rows(expect, [_M_ROW])
     # the M statistic is the product of all four readout bits
-    fidelity = sum(p for b, p in enumerate(hist) if b.bit_count() % 2)
+    fidelity = 0.0
+    for b, p in enumerate(hist):
+        if b.bit_count() % 2:
+            fidelity += p
     return ExperimentReport(
         estimates=tuple(CorrelationEstimate(corr.id, e, 0.0, 0) for corr, e in zip(CORRELATIONS, values)),
         bell_value=bell,
@@ -98,3 +169,102 @@ def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
         seed=None,
         schedule=None,
     )
+
+
+def simulate(source: SourceConfig, noise: NoiseModel, schedule: Schedule, seed: int) -> ExperimentReport:
+    """experiment.run_schedule on the frame's Born rows, drawn by numpy's algorithms in _sampler.
+
+    Each correlation draws a Poisson number of events and their
+    multinomial counts from its own (seed, index) Philox stream; the
+    report has run_schedule's form, NaN rows for zero events included.
+    """
+    estimates = []
+    m_histogram = (math.nan,) * _BINS
+    m_fidelity = math.nan
+    for idx, (corr, dist, mask) in enumerate(zip(CORRELATIONS, born_rows(source, noise), _STATISTIC_MASKS)):
+        bits = _sampler.Philox(seed, idx)
+        n = _sampler.poisson(bits, schedule.mean_counts(corr.id))
+        if n == 0:
+            estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
+            continue
+        counts = _sampler.multinomial(bits, n, _sampler.normalise(dist))
+        odd = sum(c for b, c in enumerate(counts) if (b & mask).bit_count() % 2)
+        e = (n - 2 * odd) / n
+        estimates.append(CorrelationEstimate(corr.id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n))
+        if idx == _M_ROW:
+            m_histogram = tuple(c / n for c in counts)
+            m_fidelity = odd / n
+    bell, stderr, sigma = _aggregate(estimates)
+    return ExperimentReport(
+        estimates=tuple(estimates),
+        bell_value=bell,
+        bell_stderr=stderr,
+        sigma_violation=sigma,
+        m_fidelity=m_fidelity,
+        m_histogram=m_histogram,
+        seed=seed,
+        schedule=schedule,
+    )
+
+
+@dataclass(frozen=True)
+class FitResult:
+    model: NoiseModel
+    residual: float
+    degenerate: bool = False
+
+
+# the fit stops once no variable moves by more than _FIT_TOL in a step
+_FIT_TOL = 1e-15
+_FIT_MAX_STEPS = 10_000
+
+
+def fit_noise(targets) -> FitResult:
+    """Least-squares calibration of the noise model against measured values.
+
+    targets are the measured correlation values in canonical order; either
+    the eight non-M values or all nine (the M entry is then ignored).  At
+    phi = 0 the eight rows fix only s = 1 - w, a = vp**2 and
+    b = vq**2 * cos(delta):
+
+        ZZ = Z'Z' = -s      XX = -s*a          X'X' = -s*b
+        ZZ'-Z-Z' = s        XX'-X-X' = s*a*b   Z-X'-ZX' = s*b
+        X-Z'-XZ' = s*a
+
+    Each is linear once the other two are fixed, so the fit cycles through
+    the three clipped one-variable least-squares solutions from (1, 1, 1).
+    It reports the canonical model w = 1 - s, vp = sqrt(a), vq = sqrt(|b|),
+    delta = 0 (b >= 0) or pi (b < 0); degenerate means s = 0, pure white
+    noise with a and b undetermined.  The residual is evaluated once, on
+    the frame correlations of the reported model.
+    """
+    targets = [float(t) for t in targets]
+    if len(targets) not in (8, 9):
+        raise ValueError("expected 8 or 9 target correlation values")
+    if not all(abs(t) <= 1.0 + ATOL_ALGEBRA for t in targets):
+        raise ValueError("correlation targets must lie in [-1, 1]")
+    zz, zz2, xx, xx2, zz_mix, xx_mix, zx, xz = targets[:8]
+
+    s, a, b = 1.0, 1.0, 1.0
+    for _ in range(_FIT_MAX_STEPS):
+        # c.t / |c|^2 for the row coefficients c = (-1, -1, -a, -b, 1, ab, b, a)
+        ct = -zz - zz2 - a * xx - b * xx2 + zz_mix + a * b * xx_mix + b * zx + a * xz
+        s_new = min(max(ct / ((2.0 + a * a) * (2.0 + b * b) - 1.0), 0.0), 1.0)
+        if s_new == 0.0:
+            break
+        a_new = min(max((xz - xx + b * xx_mix) / (s_new * (2.0 + b * b)), 0.0), 1.0)
+        b_new = min(max((zx - xx2 + a_new * xx_mix) / (s_new * (2.0 + a_new * a_new)), -1.0), 1.0)
+        step = max(abs(s_new - s), abs(a_new - a), abs(b_new - b))
+        s, a, b = s_new, a_new, b_new
+        if step <= _FIT_TOL:
+            break
+
+    degenerate = s_new == 0.0
+    if degenerate:
+        model = NoiseModel(white_noise_weight=1.0)
+    else:
+        model = NoiseModel(1.0 - s, math.sqrt(a), math.sqrt(abs(b)), 0.0 if b >= 0.0 else math.pi)
+    residual = 0.0
+    for est, t in zip(predict(SourceConfig(), model).estimates, targets[:8]):
+        residual += (est.E - t) * (est.E - t)
+    return FitResult(model=model, residual=residual, degenerate=degenerate)

@@ -10,10 +10,11 @@ module it is read from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ._tables import CORRELATION_BY_ID
+from ._tables import CORRELATION_BY_ID, CORRELATIONS
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -97,10 +98,13 @@ class NoiseModel:
 
 
 def check_seed(seed: int) -> int:
-    """Reject a seed the 64-bit Philox key cannot hold, rather than wrap it."""
+    """The seed as an int; reject a non-integer (a bool or a float would alias
+    another seed's stream) and a seed the 64-bit Philox key cannot hold."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r:.40}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    return seed
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -202,6 +206,20 @@ class ExperimentReport:
         doc["m_fidelity"] = self.m_fidelity
         doc["m_histogram"] = list(self.m_histogram)
         return doc
+
+
+def _aggregate(estimates: list[CorrelationEstimate]) -> tuple[float, float, float]:
+    """Bell value, its standard error and sigma of nine estimates in CORRELATIONS order.
+
+    Summed left to right in a loop: sum() compensates float round-off from
+    Python 3.12 on, which would make the documents depend on the interpreter.
+    """
+    bell = var = 0.0
+    for corr, est in zip(CORRELATIONS, estimates):
+        bell += corr.sign * est.E
+        var += est.stderr ** 2
+    stderr = math.sqrt(var)
+    return bell, stderr, _sigma_violation(bell, stderr)
 
 
 def _sigma_violation(bell: float, stderr: float) -> float:

@@ -1,9 +1,10 @@
-"""The parties, the twelve local symbols and the nine perfect correlations, as plain tables.
+"""The parties, the twelve local symbols, the six device settings and the
+nine perfect correlations, as plain tables, and the tolerance ladder.
 
 This module imports nothing outside the standard library, so the
-local-realism certificate (lhv) loads without numpy.  qstate,
-observables and lhv import these names from here, so each is one object
-whichever module it is read from.
+local-realism certificate (lhv) and the Pauli-frame CLI path (_frame)
+load without numpy.  qstate, observables and lhv import these names from
+here, so each is one object whichever module it is read from.
 """
 
 from __future__ import annotations
@@ -12,9 +13,21 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+# tolerance ladder: algebraic identities vs derived spectral checks
+ATOL_ALGEBRA = 1e-12
+ATOL_SPECTRAL = 1e-10
+ATOL_INPUT = 1e-9
+
+
 class Party(Enum):
     ALICE = "Alice"
     BOB = "Bob"
+
+
+class Setting(Enum):
+    A = "a"
+    B = "b"
+    C = "c"
 
 
 # z, x on polarization and z', x' on path, then the one-photon products
@@ -33,6 +46,18 @@ SYMBOLS: tuple[str, ...] = (
     "zBxB'",
     "xBzB'",
 )
+
+
+# generator1, generator2, product for every (party, setting); a setting
+# reads its two generators on the party's two readout bits, in this order
+CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
+    (Party.ALICE, Setting.A): ("zA'", "xA", "xAzA'"),
+    (Party.ALICE, Setting.B): ("zA", "xA'", "zAxA'"),
+    (Party.ALICE, Setting.C): ("zAzA'", "xAxA'", "zAzA'xAxA'"),
+    (Party.BOB, Setting.A): ("zB", "zB'", "zBzB'"),
+    (Party.BOB, Setting.B): ("xB", "xB'", "xBxB'"),
+    (Party.BOB, Setting.C): ("zBxB'", "xBzB'", "zBxB'xBzB'"),
+}
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-# modules are read at call time, so `avnsim lhv` and `avnsim predict` never
-# load source or experiment, and with them numpy
-from . import _frame, _records, experiment, lhv, reference, source
+# every subcommand reads the numpy-free modules only: the Pauli frame, the
+# ported sampler, the records and tables, reference and lhv
+from . import _frame, _records, lhv, reference
 
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "text")
@@ -180,7 +180,7 @@ def cmd_predict(config: RunConfig) -> tuple[str, int]:
     """The exact report in closed form, from the Pauli frame (_frame), without numpy.
 
     experiment.predict_exact on the dense density matrix is the frame's
-    oracle in the tests; simulate and reproduce-paper keep that path.
+    oracle in the tests.
     """
     doc = _frame.predict(config.source, config.noise).to_dict()
     if config.output_format == "csv":
@@ -191,13 +191,13 @@ def cmd_predict(config: RunConfig) -> tuple[str, int]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[str, int]:
-    rho = source.apply_noise(source.build_psi(config.source), config.noise)
-    report = experiment.run_schedule(rho, config.schedule, config.seed)
+    """A seeded counting run on the frame's Born rows, drawn by the port of numpy's sampler, without numpy."""
+    report = _frame.simulate(config.source, config.noise, config.schedule, config.seed)
     doc = report.to_dict()
     if config.output_format == "csv":
         return report_csv(doc), 0
     if config.output_format == "text":
-        exact = experiment.predict_exact(rho)
+        exact = _frame.predict(config.source, config.noise)
         return report_text(doc, lr_panel=lhv.lr_m_histogram(), qm_panel=exact.m_histogram), 0
     return to_json(doc) + "\n", 0
 
@@ -229,10 +229,10 @@ def cmd_lhv(output_format: str) -> tuple[str, int]:
 
 def _reproduce_document(seed: int) -> dict:
     fit = reference.fitted_noise()
-    rho = source.apply_noise(source.build_psi(0.0), fit.model)
-    exact_fitted = experiment.predict_exact(rho)
-    exact_ideal = experiment.predict_exact(source.apply_noise(source.build_psi(0.0), source.NoiseModel()))
-    simulated = experiment.run_schedule(rho, reference.matched_schedule(), seed)
+    phi0 = _records.SourceConfig()
+    exact_fitted = _frame.predict(phi0, fit.model)
+    exact_ideal = _frame.predict(phi0, _records.NoiseModel())
+    simulated = _frame.simulate(phi0, fit.model, reference.matched_schedule(), seed)
 
     rows = []
     all_pass = True

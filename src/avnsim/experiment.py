@@ -14,6 +14,13 @@ exact integer dot product, with binomial standard error sqrt((1 - E^2)/n).
 Each correlation draws from its own Philox stream keyed by (seed,
 correlation index), one generator re-keyed per run, so reports are
 bit-reproducible in any order; the nine Born rows are one contraction.
+
+This is the library path for an arbitrary density matrix, and the dense
+oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
+Born rows in closed form from _frame and draw them with _sampler, the
+standard-library port of numpy's Philox, Poisson and multinomial, so
+they never import numpy.  The two paths give the same counts wherever
+their tables agree to the last bit.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from ._records import (  # re-exported: the report records live in the numpy-fre
     CorrelationEstimate,
     ExperimentReport,
     Schedule,
+    _aggregate,
     _sigma_violation,
     check_seed,
 )
@@ -190,12 +198,6 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
     # and has no integer type for counts of 2**64 or more
     counts = np.array([int(c) for c in table.counts], dtype=object)
     return _estimate(corr_id, counts, int(table.total))
-
-
-def _aggregate(estimates: list[CorrelationEstimate]) -> tuple[float, float, float]:
-    bell = sum(c.sign * est.E for c, est in zip(CORRELATIONS, estimates))
-    stderr = math.sqrt(sum(est.stderr ** 2 for est in estimates))
-    return bell, stderr, _sigma_violation(bell, stderr)
 
 
 def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentReport:

@@ -10,19 +10,27 @@ The symbol strings ("zA", "xA'", "zBxB'", ...) are the single naming
 scheme shared with the hidden-variable audit and the counting simulation,
 so constraint tables and event schemas line up everywhere: each local
 operator is built from its name.  The twelve SYMBOLS and the nine
-correlations that name them live in the numpy-free _tables module.
+correlations that name them, the settings and each setting's symbols
+live in the numpy-free _tables module.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._tables import CORRELATION_BY_ID, CORRELATION_IDS, CORRELATIONS, SYMBOLS, Correlation
+from ._tables import (  # re-exported: the plain tables live in the numpy-free _tables
+    CONTEXT_SYMBOLS,
+    CORRELATION_BY_ID,
+    CORRELATION_IDS,
+    CORRELATIONS,
+    SYMBOLS,
+    Correlation,
+    Setting,
+)
 from .qstate import (
     ATOL_ALGEBRA,
     ATOL_SPECTRAL,
@@ -40,23 +48,6 @@ from .qstate import (
     is_dichotomic,
     lift_local,
 )
-
-
-class Setting(Enum):
-    A = "a"
-    B = "b"
-    C = "c"
-
-
-# generator1, generator2, product for every (party, setting)
-CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
-    (Party.ALICE, Setting.A): ("zA'", "xA", "xAzA'"),
-    (Party.ALICE, Setting.B): ("zA", "xA'", "zAxA'"),
-    (Party.ALICE, Setting.C): ("zAzA'", "xAxA'", "zAzA'xAxA'"),
-    (Party.BOB, Setting.A): ("zB", "zB'", "zBzB'"),
-    (Party.BOB, Setting.B): ("xB", "xB'", "xBxB'"),
-    (Party.BOB, Setting.C): ("zBxB'", "xBzB'", "zBxB'xBzB'"),
-}
 
 
 _PAULI = {"z": PAULI_Z, "x": PAULI_X}

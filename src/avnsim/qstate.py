@@ -19,19 +19,13 @@ from enum import Enum
 
 import numpy as np
 
-from ._tables import Party
+from ._tables import ATOL_ALGEBRA, ATOL_INPUT, ATOL_SPECTRAL, Party
 
 DIM = 16
 
 # row i holds the four bits of basis index i, columns (pol_A, path_A, pol_B, path_B)
 INDEX_BITS = (np.arange(DIM)[:, None] >> np.arange(3, -1, -1)) & 1
 INDEX_BITS.setflags(write=False)
-
-# tolerance ladder: algebraic identities vs derived spectral checks
-ATOL_ALGEBRA = 1e-12
-ATOL_SPECTRAL = 1e-10
-ATOL_INPUT = 1e-9
-
 
 class ConsistencyError(RuntimeError):
     """An internal numerical identity failed beyond tolerance."""

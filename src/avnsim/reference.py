@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .experiment import Schedule
-from .observables import CORRELATION_IDS
-from .source import FitResult, fit_noise
+from ._frame import FitResult, fit_noise
+from ._records import Schedule
+from ._tables import CORRELATION_IDS
 
 # measured correlation values (E, standard error), canonical non-M order
 MEASURED_CORRELATIONS: dict[str, tuple[float, float]] = {

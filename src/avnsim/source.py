@@ -14,20 +14,20 @@ calibrates the knobs to the eight measured non-M rows, which fix only
 s = 1 - w, a = vp**2 and b = vq**2 * cos(delta); it reports the canonical
 model (delta = 0 or pi, vq = sqrt(|b|)), and degenerate means s = 0.
 
-`avnsim predict` reads the same state and channel in closed form, as
-Pauli-word expectations (_frame), without numpy; this dense path is its
-oracle in the tests, and simulate and the fit use it.  SourceConfig and
-NoiseModel live in the numpy-free _records and are re-exported here.
+The CLI reads the same state and channel in closed form, as Pauli-word
+expectations (_frame), without numpy; this dense path is its oracle in
+the tests and the library path for an arbitrary state.  SourceConfig and
+NoiseModel live in the numpy-free _records, and the fit (fit_noise,
+FitResult) in _frame, which computes its residual from the frame
+correlations; all are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qstate
+from ._frame import FitResult, fit_noise  # re-exported: the fit reads the numpy-free frame
 from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block, _config_float
 from .observables import correlation_expectations
 from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS
@@ -85,67 +85,6 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class FitResult:
-    model: NoiseModel
-    residual: float
-    degenerate: bool = False
-
-
-# the fit stops once no variable moves by more than _FIT_TOL in a step
-_FIT_TOL = 1e-15
-_FIT_MAX_STEPS = 10_000
-
-
 def predicted_correlations(model: NoiseModel, phi: float = 0.0) -> np.ndarray:
     """The nine correlation expectations of the noisy source."""
     return correlation_expectations(apply_noise(build_psi(phi), model))
-
-
-def fit_noise(targets) -> FitResult:
-    """Least-squares calibration of the noise model against measured values.
-
-    targets are the measured correlation values in canonical order; either
-    the eight non-M values or all nine (the M entry is then ignored).  At
-    phi = 0 the eight rows fix only s = 1 - w, a = vp**2 and
-    b = vq**2 * cos(delta):
-
-        ZZ = Z'Z' = -s      XX = -s*a          X'X' = -s*b
-        ZZ'-Z-Z' = s        XX'-X-X' = s*a*b   Z-X'-ZX' = s*b
-        X-Z'-XZ' = s*a
-
-    Each is linear once the other two are fixed, so the fit cycles through
-    the three clipped one-variable least-squares solutions from (1, 1, 1).
-    It reports the canonical model w = 1 - s, vp = sqrt(a), vq = sqrt(|b|),
-    delta = 0 (b >= 0) or pi (b < 0); degenerate means s = 0, pure white
-    noise with a and b undetermined.  The residual is evaluated once, on
-    the density matrix of the reported model.
-    """
-    targets = np.asarray([float(t) for t in targets], dtype=float)
-    if targets.shape[0] not in (8, 9):
-        raise ValueError("expected 8 or 9 target correlation values")
-    if not np.all(np.abs(targets) <= 1.0 + ATOL_ALGEBRA):
-        raise ValueError("correlation targets must lie in [-1, 1]")
-    zz, zz2, xx, xx2, zz_mix, xx_mix, zx, xz = targets[:8].tolist()
-
-    s, a, b = 1.0, 1.0, 1.0
-    for _ in range(_FIT_MAX_STEPS):
-        # c.t / |c|^2 for the row coefficients c = (-1, -1, -a, -b, 1, ab, b, a)
-        ct = -zz - zz2 - a * xx - b * xx2 + zz_mix + a * b * xx_mix + b * zx + a * xz
-        s_new = min(max(ct / ((2.0 + a * a) * (2.0 + b * b) - 1.0), 0.0), 1.0)
-        if s_new == 0.0:
-            break
-        a_new = min(max((xz - xx + b * xx_mix) / (s_new * (2.0 + b * b)), 0.0), 1.0)
-        b_new = min(max((zx - xx2 + a_new * xx_mix) / (s_new * (2.0 + a_new * a_new)), -1.0), 1.0)
-        step = max(abs(s_new - s), abs(a_new - a), abs(b_new - b))
-        s, a, b = s_new, a_new, b_new
-        if step <= _FIT_TOL:
-            break
-
-    degenerate = s_new == 0.0
-    if degenerate:
-        model = NoiseModel(white_noise_weight=1.0)
-    else:
-        model = NoiseModel(1.0 - s, math.sqrt(a), math.sqrt(abs(b)), 0.0 if b >= 0.0 else math.pi)
-    dev = predicted_correlations(model)[:8] - targets[:8]
-    return FitResult(model=model, residual=float(np.dot(dev, dev)), degenerate=degenerate)

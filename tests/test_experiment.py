@@ -35,7 +35,7 @@ from avnsim.observables import (
 )
 from avnsim.qstate import DIM, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
-from avnsim import reference
+from avnsim import _frame, reference
 
 PSI = build_psi(0.0)
 RHO_IDEAL = np.outer(PSI, PSI.conj())
@@ -129,18 +129,25 @@ def test_predict_exact_equals_the_reduced_closed_form_away_from_phi_zero(phi, w,
         assert abs(exact.estimate(cid).E - value) <= 1e-12, cid
 
 
-def test_error_bars_cover_the_exact_values_one_sigma_of_the_time():
+@pytest.mark.parametrize("sampler", ["library", "cli"])
+def test_error_bars_cover_the_exact_values_one_sigma_of_the_time(sampler):
     # calibration gate on the error bars behind the paper's 294 sigma: over
     # 400 seeded runs of the fitted state on the matched schedule, the share
     # of |z| <= 1, z = (E_sim - E_exact) / stderr, must lie within four
     # binomial standard deviations of the normal 68.27%, pooled over the
-    # nine rows and again for the Bell value
-    rho = apply_noise(PSI, reference.fitted_noise().model)
+    # nine rows and again for the Bell value; for run_schedule on the dense
+    # state (library) and for the Pauli-frame run of reproduce-paper (cli)
+    model = reference.fitted_noise().model
+    rho = apply_noise(PSI, model)
     exact = predict_exact(rho)
     schedule = reference.matched_schedule()
+    if sampler == "library":
+        run = lambda seed: run_schedule(rho, schedule, seed)  # noqa: E731
+    else:
+        run = lambda seed: _frame.simulate(SourceConfig(), model, schedule, seed)  # noqa: E731
     row_z, bell_z = [], []
     for seed in range(400):
-        report = run_schedule(rho, schedule, seed)
+        report = run(seed)
         row_z += [(est.E - ex.E) / est.stderr for est, ex in zip(report.estimates, exact.estimates)]
         bell_z.append((report.bell_value - exact.bell_value) / report.bell_stderr)
     p = math.erf(1.0 / math.sqrt(2.0))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 MODULES = ["apparatus", "cli", "experiment", "lhv", "observables", "qstate", "reference", "source"]
 
@@ -79,3 +80,19 @@ NOISY_CONFIG = {
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_predict_runs_without_numpy(fmt, config):
     assert_runs_without_numpy(["predict", "--format", fmt, "--config", "-"], json.dumps(config).encode())
+
+
+with open(os.path.join(DATA, "pair_rate_2.config.json"), encoding="utf-8") as _fh:
+    PAIR_RATE_2_CONFIG = json.load(_fh)
+
+
+@pytest.mark.parametrize("config", [{}, NOISY_CONFIG, PAIR_RATE_2_CONFIG], ids=["default", "noisy", "pair_rate_2"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_simulate_runs_without_numpy(fmt, config):
+    assert_runs_without_numpy(["simulate", "--format", fmt, "--config", "-"], json.dumps(config).encode())
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_reproduce_paper_runs_without_numpy(fmt, seed):
+    assert_runs_without_numpy(["reproduce-paper", "--seed", seed, "--format", fmt])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avnsim import experiment
-from avnsim.experiment import Schedule, _born_stack, _born_weights, _joint_projectors, _stream, context_pair
+from avnsim import _frame, experiment
+from avnsim.experiment import Schedule, _born_stack, _born_weights, _joint_projectors, _stream, context_pair, sample_events
 from avnsim.observables import CORRELATIONS
 from avnsim.qstate import DIM
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
@@ -46,6 +46,29 @@ def test_one_rekeyed_generator_gives_every_stream_of_a_seed(seed):
 def test_rekeying_checks_the_seed():
     with pytest.raises(ValueError, match=str(2**64)):
         _stream(2**64, 0, np.random.Philox())
+
+
+_NOISE = NoiseModel(0.1, 0.9, 0.8, -1.2)
+# the three sampling entry points: the library run, one table, and the CLI run
+SAMPLERS = {
+    "run_schedule": lambda seed: experiment.run_schedule(apply_noise(build_psi(0.7), _NOISE), Schedule(), seed),
+    "sample_events": lambda seed: sample_events(np.full(DIM, 1.0 / DIM), 1000, seed),
+    "frame_simulate": lambda seed: _frame.simulate(SourceConfig(0.7), _NOISE, Schedule(), seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.9)], ids=["float", "bool", "numpy_float"])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_a_seed_that_is_not_an_integer_is_rejected_not_aliased(sampler, seed):
+    # int(1.5) and True would silently draw seed 1's streams
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SAMPLERS[sampler](seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(2**64 - 1)], ids=["int64", "uint64_max"])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_a_numpy_integer_seed_gives_the_streams_of_the_equal_int(sampler, seed):
+    assert SAMPLERS[sampler](seed) == SAMPLERS[sampler](int(seed))
 
 
 def test_the_born_stack_is_the_nine_pairs_read_only_in_correlation_order():
