@@ -30,8 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from . import _sampler
 from ._records import (
@@ -207,8 +207,7 @@ def simulate(source: SourceConfig, noise: NoiseModel, schedule: Schedule, seed: 
     )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     model: NoiseModel
     residual: float
     degenerate: bool = False

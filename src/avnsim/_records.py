@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections import namedtuple
+from typing import Mapping, NamedTuple
 
 from ._tables import CORRELATION_BY_ID, CORRELATIONS
 
@@ -52,12 +52,29 @@ def _config_float(value, where: str) -> float:
     raise ValueError(f"{where} must be a number in float range, got {value!r:.40}")
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    phi: float = 0.0
+class _Checked(tuple):
+    """Base of the records whose __new__ checks and canonicalises the fields.
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi", _canonical_phase(self.phi, "source.phi"))
+    _make, and so _replace, checks too.  pickle and copy restore the stored
+    fields without checking them again: canonicalising a phase twice can
+    move it (pi becomes -pi).
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
+
+
+class SourceConfig(_Checked, namedtuple("SourceConfig", "phi")):
+    __slots__ = ()
+
+    def __new__(cls, phi: float = 0.0):
+        return super().__new__(cls, _canonical_phase(phi, "source.phi"))
 
     def to_dict(self) -> dict:
         return {"phi": self.phi}
@@ -68,20 +85,27 @@ class SourceConfig:
         return cls(phi=_config_float(d.get("phi", 0.0), "source.phi"))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    white_noise_weight: float = 0.0
-    pol_visibility: float = 1.0
-    path_visibility: float = 1.0
-    phase_offset: float = 0.0
+class NoiseModel(_Checked, namedtuple("NoiseModel", "white_noise_weight pol_visibility path_visibility phase_offset")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("white_noise_weight", "pol_visibility", "path_visibility"):
-            v = float(getattr(self, name))
+    def __new__(
+        cls,
+        white_noise_weight: float = 0.0,
+        pol_visibility: float = 1.0,
+        path_visibility: float = 1.0,
+        phase_offset: float = 0.0,
+    ):
+        weights = []
+        for name, value in (
+            ("white_noise_weight", white_noise_weight),
+            ("pol_visibility", pol_visibility),
+            ("path_visibility", path_visibility),
+        ):
+            v = float(value)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"noise.{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "phase_offset", _canonical_phase(float(self.phase_offset), "noise.phase_offset"))
+            weights.append(v)
+        return super().__new__(cls, *weights, _canonical_phase(float(phase_offset), "noise.phase_offset"))
 
     def to_dict(self) -> dict:
         return {
@@ -93,7 +117,7 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        _config_block(d, "noise", cls.__dataclass_fields__)
+        _config_block(d, "noise", cls._fields)
         return cls(**{k: _config_float(v, f"noise.{k}") for k, v in d.items()})
 
 
@@ -107,34 +131,42 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
+class CorrelationEstimate(NamedTuple):
     id: str
     E: float
     stderr: float
     n: int
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Pairs per second and collection time, with per-correlation overrides."""
+class Schedule(_Checked, namedtuple("Schedule", "pair_rate duration overrides")):
+    """Pairs per second and collection time, with per-correlation overrides.
 
-    pair_rate: float = DEFAULT_PAIR_RATE
-    duration: float = DEFAULT_DURATION
-    overrides: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+    overrides maps a correlation id to its (pair_rate, duration); each
+    Schedule built without it gets a fresh empty dict.
+    """
 
-    def __post_init__(self):
-        entries = {"schedule": (self.pair_rate, self.duration)}
-        for corr_id, entry in self.overrides.items():
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        pair_rate: float = DEFAULT_PAIR_RATE,
+        duration: float = DEFAULT_DURATION,
+        overrides: Mapping[str, tuple[float, float]] | None = None,
+    ):
+        if overrides is None:
+            overrides = {}
+        entries = {"schedule": (pair_rate, duration)}
+        for corr_id, entry in overrides.items():
             if corr_id not in CORRELATION_BY_ID:
                 raise ValueError(f"override for unknown correlation {corr_id!r}")
             entries[f"override for {corr_id!r}"] = entry
-        for where, (rate, duration) in entries.items():
-            for name, value in (("pair_rate", rate), ("duration", duration)):
+        for where, (rate, time) in entries.items():
+            for name, value in (("pair_rate", rate), ("duration", time)):
                 if not 0.0 < value < math.inf:
                     raise ValueError(f"{where}: {name} must be positive and finite, got {value}")
-            if rate * duration > POISSON_LAM_MAX:
-                raise ValueError(f"{where}: pair_rate * duration = {rate * duration:g} exceeds the Poisson limit {POISSON_LAM_MAX:g}")
+            if rate * time > POISSON_LAM_MAX:
+                raise ValueError(f"{where}: pair_rate * duration = {rate * time:g} exceeds the Poisson limit {POISSON_LAM_MAX:g}")
+        return super().__new__(cls, pair_rate, duration, overrides)
 
     def mean_counts(self, corr_id: str) -> float:
         rate, duration = self.overrides.get(corr_id, (self.pair_rate, self.duration))
@@ -166,8 +198,7 @@ class Schedule:
         return cls(pair_rate=rate, duration=duration, overrides=overrides)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     estimates: tuple[CorrelationEstimate, ...]
     bell_value: float
     bell_stderr: float

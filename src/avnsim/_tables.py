@@ -9,8 +9,8 @@ here, so each is one object whichever module it is read from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 # tolerance ladder: algebraic identities vs derived spectral checks
@@ -60,8 +60,7 @@ CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class Correlation:
+class Correlation(NamedTuple):
     """One of the nine perfect-correlation relations.
 
     sign is the predicted eigenvalue of the operator product on the ideal

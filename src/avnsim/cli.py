@@ -10,13 +10,12 @@ or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # every subcommand reads the numpy-free modules only: the Pauli frame, the
 # ported sampler, the records and tables, reference and lhv
@@ -41,6 +40,14 @@ def _format_float(x: float) -> str:
 
 def to_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats at full double precision."""
+    # the common leaves first, by exact type: the numbers ABC checks are slow
+    kind = type(obj)
+    if kind is float:
+        return _format_float(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return json.dumps(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -69,6 +76,8 @@ def to_json(obj, indent: int = 0) -> str:
 
 def report_csv(doc: dict) -> str:
     """One row per correlation, then the aggregate metrics."""
+    import csv  # only the csv format needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "sign", "E", "stderr", "n"])
@@ -123,8 +132,7 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
 
 # -------------------------------------------------------------- configuration
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     source: _records.SourceConfig
     noise: _records.NoiseModel
     schedule: _records.Schedule

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._tables import CORRELATION_IDS, CORRELATIONS, SYMBOLS
 
@@ -34,8 +33,7 @@ _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 Assignment = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     index: int
     symbols: tuple[str, ...]
     required: int
@@ -122,8 +120,7 @@ def _constraint_product(assignment: Assignment, constraint: Constraint) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     satisfied: tuple[bool, ...]
     satisfied_count: int
 
@@ -138,8 +135,7 @@ def bell_quantity(assignment: Assignment, constraints: Sequence[Constraint] = CO
     return sum(c.required * _constraint_product(assignment, c) for c in constraints)
 
 
-@dataclass(frozen=True)
-class AvnAudit:
+class AvnAudit(NamedTuple):
     all_nine_count: int
     max_satisfied: int
     assignments_at_max: int
@@ -160,8 +156,7 @@ def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     )
 
 
-@dataclass(frozen=True)
-class LrBound:
+class LrBound(NamedTuple):
     max_value: int
     min_value: int
     argmax_assignments: tuple[Assignment, ...]

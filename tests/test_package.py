@@ -36,10 +36,13 @@ from avnsim import observables, qstate
 print(json.dumps([numpy_loaded, [name for name in sys.modules if name.startswith("avnsim.")], qstate.Party is observables.Party]))
 """
 
-# numpy set to None in sys.modules makes every `import numpy` raise ImportError
+# a module set to None in sys.modules makes every import of it raise
+# ImportError: the commands need neither numpy nor dataclasses, whose import
+# (inspect, ast, dis, tokenize) costs a cold command about 10 ms
 NO_NUMPY_MAIN = """
 import sys
 sys.modules["numpy"] = None
+sys.modules["dataclasses"] = None
 from avnsim.cli import main
 raise SystemExit(main(sys.argv[1:]))
 """
@@ -55,7 +58,7 @@ def test_bare_import_loads_no_numpy_and_registers_each_module():
 
 
 def assert_runs_without_numpy(args, stdin=b""):
-    """The command exits 0 with numpy blocked, prints nothing to stderr and matches a normal run."""
+    """The command exits 0 with numpy and dataclasses blocked, prints nothing to stderr and matches a normal run."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     blocked = subprocess.run([sys.executable, "-c", NO_NUMPY_MAIN, *args], input=stdin, capture_output=True, env=env)
     normal = subprocess.run([sys.executable, "-m", "avnsim", *args], input=stdin, capture_output=True, env=env)
