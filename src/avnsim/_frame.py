@@ -18,11 +18,13 @@ outcome probabilities of its Born row:
     p(b) = 2^-4 sum_S (prod_{i in S} b_i) E(prod_{i in S} G_i).
 
 This holds because each device is the ideal projective readout of its
-setting (apparatus_vs_projective).  predict prints the M row;
+setting (apparatus_vs_projective); the setting pair and the bit order
+are read from the readout table of _tables.  predict prints the M row;
 simulate draws from all nine through _sampler, so `avnsim simulate` and
-`reproduce-paper` run without numpy.  The dense path
-(experiment.predict_exact and run_schedule on source.apply_noise) is
-this module's oracle in the tests.
+`reproduce-paper` run without numpy.  Both hand their numbers to
+_records, which builds the report as it does for the dense path
+(experiment.predict_exact and run_schedule on source.apply_noise), this
+module's oracle in the tests.
 """
 
 from __future__ import annotations
@@ -34,16 +36,8 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import _sampler
-from ._records import (
-    CorrelationEstimate,
-    ExperimentReport,
-    NoiseModel,
-    Schedule,
-    SourceConfig,
-    _aggregate,
-    _sigma_violation,
-)
-from ._tables import ATOL_ALGEBRA, ATOL_SPECTRAL, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party
+from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _exact_report, _sampled_report
+from ._tables import ATOL_ALGEBRA, ATOL_SPECTRAL, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party, _setting_pair
 
 Word = tuple[int, int, int]
 
@@ -77,12 +71,8 @@ def _product(symbols) -> Word:
 
 def _generators(corr) -> tuple[str, ...]:
     """The four readout generators of the setting pair that measures corr, in readout-bit order."""
-    out = ()
-    for party in Party:
-        factors = {symbol for p, symbol in corr.factors if p is party}
-        (pair,) = (g[:2] for (p, _), g in CONTEXT_SYMBOLS.items() if p is party and factors <= set(g[:2]))
-        out += pair
-    return out
+    alice, bob = _setting_pair(corr)
+    return CONTEXT_SYMBOLS[Party.ALICE, alice][:2] + CONTEXT_SYMBOLS[Party.BOB, bob][:2]
 
 
 _CORRELATION_WORDS = tuple(_product(symbol for _, symbol in corr.factors) for corr in CORRELATIONS)
@@ -91,10 +81,6 @@ _ROW_SUBSET_WORDS = tuple(
     tuple(reduce(compose, (g for i, g in enumerate(gens) if mask >> (3 - i) & 1), IDENTITY) for mask in range(_BINS))
     for gens in (tuple(map(word, _generators(corr))) for corr in CORRELATIONS)
 )
-# a correlation's statistic is the product of its factors' readout bits:
-# the subset of its row's generators whose word is the correlation's word
-_STATISTIC_MASKS = tuple(words.index(p) for words, p in zip(_ROW_SUBSET_WORDS, _CORRELATION_WORDS))
-_M_ROW = len(CORRELATIONS) - 1
 
 
 def _expectation(source: SourceConfig, noise: NoiseModel):
@@ -153,58 +139,19 @@ def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
     bell = 0.0
     for corr, e in zip(CORRELATIONS, values):
         bell += corr.sign * e
-    (hist,) = _born_rows(expect, [_M_ROW])
-    # the M statistic is the product of all four readout bits
-    fidelity = 0.0
-    for b, p in enumerate(hist):
-        if b.bit_count() % 2:
-            fidelity += p
-    return ExperimentReport(
-        estimates=tuple(CorrelationEstimate(corr.id, e, 0.0, 0) for corr, e in zip(CORRELATIONS, values)),
-        bell_value=bell,
-        bell_stderr=0.0,
-        sigma_violation=_sigma_violation(bell, 0.0),
-        m_fidelity=fidelity,
-        m_histogram=tuple(hist),
-        seed=None,
-        schedule=None,
-    )
+    (hist,) = _born_rows(expect, [len(CORRELATIONS) - 1])
+    return _exact_report(values, bell, hist)
 
 
 def simulate(source: SourceConfig, noise: NoiseModel, schedule: Schedule, seed: int) -> ExperimentReport:
-    """experiment.run_schedule on the frame's Born rows, drawn by numpy's algorithms in _sampler.
-
-    Each correlation draws a Poisson number of events and their
-    multinomial counts from its own (seed, index) Philox stream; the
-    report has run_schedule's form, NaN rows for zero events included.
-    """
-    estimates = []
-    m_histogram = (math.nan,) * _BINS
-    m_fidelity = math.nan
-    for idx, (corr, dist, mask) in enumerate(zip(CORRELATIONS, born_rows(source, noise), _STATISTIC_MASKS)):
+    """experiment.run_schedule on the frame's Born rows, drawn by numpy's algorithms in _sampler:
+    a Poisson number of events and their counts from each correlation's (seed, index) Philox stream."""
+    rows = []
+    for idx, (corr, dist) in enumerate(zip(CORRELATIONS, born_rows(source, noise))):
         bits = _sampler.Philox(seed, idx)
         n = _sampler.poisson(bits, schedule.mean_counts(corr.id))
-        if n == 0:
-            estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
-            continue
-        counts = _sampler.multinomial(bits, n, _sampler.normalise(dist))
-        odd = sum(c for b, c in enumerate(counts) if (b & mask).bit_count() % 2)
-        e = (n - 2 * odd) / n
-        estimates.append(CorrelationEstimate(corr.id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n))
-        if idx == _M_ROW:
-            m_histogram = tuple(c / n for c in counts)
-            m_fidelity = odd / n
-    bell, stderr, sigma = _aggregate(estimates)
-    return ExperimentReport(
-        estimates=tuple(estimates),
-        bell_value=bell,
-        bell_stderr=stderr,
-        sigma_violation=sigma,
-        m_fidelity=m_fidelity,
-        m_histogram=m_histogram,
-        seed=seed,
-        schedule=schedule,
-    )
+        rows.append(_sampler.multinomial(bits, n, _sampler.normalise(dist)))
+    return _sampled_report(rows, schedule, seed)
 
 
 class FitResult(NamedTuple):

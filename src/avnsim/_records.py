@@ -1,8 +1,11 @@
 """Run configuration and report records, in the standard library alone.
 
 The config blocks (source, noise, schedule, seed) are parsed and checked
-here, and an ExperimentReport is rendered into its document here, so
-`avnsim predict` builds its config and its report without numpy.  source
+here.  An ExperimentReport is built here, once for both the dense path
+(experiment) and the Pauli frame (_frame): a sampled one from a run's
+nine rows of counts, an exact one from the nine values, the Bell value
+and the M row.  It is rendered into its document here too, so the
+commands build their config and their report without numpy.  source
 and experiment re-export these names, so each is one object whichever
 module it is read from.
 """
@@ -14,7 +17,7 @@ import numbers
 from collections import namedtuple
 from typing import Mapping, NamedTuple
 
-from ._tables import CORRELATION_BY_ID, CORRELATIONS
+from ._tables import _ODD_BINS, CORRELATION_BY_ID, CORRELATIONS
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -239,18 +242,54 @@ class ExperimentReport(NamedTuple):
         return doc
 
 
-def _aggregate(estimates: list[CorrelationEstimate]) -> tuple[float, float, float]:
-    """Bell value, its standard error and sigma of nine estimates in CORRELATIONS order.
+def _odd_sum(corr_id: str, row):
+    """A 16-bin row summed over the correlation's odd bins: exact on counts, and left to
+    right on probabilities, since sum() compensates float round-off from Python 3.12 on."""
+    total = 0
+    for b in _ODD_BINS[corr_id]:
+        total += row[b]
+    return total
 
-    Summed left to right in a loop: sum() compensates float round-off from
-    Python 3.12 on, which would make the documents depend on the interpreter.
+
+def _estimate(corr_id: str, counts, n: int) -> CorrelationEstimate:
+    """E = [C(+1) - C(-1)]/n = (n - 2 C(-1))/n and its binomial stderr, over integer counts of n > 0 events."""
+    e = (n - 2 * _odd_sum(corr_id, counts)) / n
+    return CorrelationEstimate(corr_id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n)
+
+
+def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
+    """The report of a counting run from its nine 16-bin rows of integer counts, in CORRELATIONS order.
+
+    A row that counted no events reports E and stderr as NaN, and so do
+    the Bell value, its stderr and sigma (any such row) and the M fidelity
+    and histogram (the M row): null in the documents.  The Bell sums run
+    left to right, as _odd_sum does.
     """
+    estimates = []
     bell = var = 0.0
-    for corr, est in zip(CORRELATIONS, estimates):
+    m_fidelity, m_histogram = math.nan, (math.nan,) * 16
+    for corr, counts in zip(CORRELATIONS, rows):
+        n = sum(counts)
+        if n == 0:
+            est = CorrelationEstimate(corr.id, math.nan, math.nan, 0)
+        else:
+            est = _estimate(corr.id, counts, n)
+            if corr.id == "M":
+                m_fidelity = _odd_sum("M", counts) / n
+                m_histogram = tuple(c / n for c in counts)
+        estimates.append(est)
         bell += corr.sign * est.E
         var += est.stderr ** 2
     stderr = math.sqrt(var)
-    return bell, stderr, _sigma_violation(bell, stderr)
+    sigma = _sigma_violation(bell, stderr)
+    return ExperimentReport(tuple(estimates), bell, stderr, sigma, m_fidelity, m_histogram, seed, schedule)
+
+
+def _exact_report(values, bell: float, m_row) -> ExperimentReport:
+    """The exact report from the nine values in CORRELATIONS order, the Bell value and the M row's 16 probabilities."""
+    estimates = tuple(CorrelationEstimate(corr.id, e, 0.0, 0) for corr, e in zip(CORRELATIONS, values))
+    fidelity = _odd_sum("M", m_row)
+    return ExperimentReport(estimates, bell, 0.0, _sigma_violation(bell, 0.0), fidelity, tuple(m_row), None, None)
 
 
 def _sigma_violation(bell: float, stderr: float) -> float:

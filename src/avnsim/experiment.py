@@ -1,19 +1,20 @@
 """Monte Carlo coincidence counting over the two-party detection models.
 
 Each setting reads its two generator symbols on the party's two readout
-bits.  _READOUT records each symbol's setting and bit, and every
-correlation names generators only, so its setting pair and its +-1
-statistic s (the product of its factors' bits) are both read from there.
-Joint outcomes are indexed like qstate.INDEX_BITS, bit +1 mapping to 0:
+bits.  The readout table of _tables records each symbol's setting and
+bit, and every correlation names generators only, so its setting pair
+and the outcomes where its statistic (the product of its factors' bits)
+is -1, its odd bins, are both read from there.  Joint outcomes are
+indexed like qstate.INDEX_BITS, bit +1 mapping to 0:
 
     outcome index = 8*i(bit1_A) + 4*i(bit2_A) + 2*i(bit1_B) + i(bit2_B).
 
-A run draws a Poisson number n of pairs per correlation, samples the 16
-outcome counts c and estimates E = (c . s)/n = [C(+1) - C(-1)]/n as one
-exact integer dot product, with binomial standard error sqrt((1 - E^2)/n).
-Each correlation draws from its own Philox stream keyed by (seed,
-correlation index), one generator re-keyed per run, so reports are
-bit-reproducible in any order; the nine Born rows are one contraction.
+A run draws a Poisson number n of pairs per correlation and samples the
+16 outcome counts; _records scores the nine count rows, E = [C(+1) -
+C(-1)]/n in exact integers with standard error sqrt((1 - E^2)/n).  Each
+correlation draws from its own Philox stream keyed by (seed, correlation
+index), one generator re-keyed per run, so reports are bit-reproducible
+in any order; the nine Born rows are one contraction.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -40,10 +41,12 @@ from ._records import (  # re-exported: the report records live in the numpy-fre
     CorrelationEstimate,
     ExperimentReport,
     Schedule,
-    _aggregate,
-    _sigma_violation,
+    _estimate,
+    _exact_report,
+    _sampled_report,
     check_seed,
 )
+from ._tables import _ODD_BINS, _setting_pair
 from .observables import (
     CORRELATIONS,
     CORRELATION_BY_ID,
@@ -51,7 +54,6 @@ from .observables import (
     Setting,
     bell_operator,
     correlation_expectations,
-    CONTEXT_SYMBOLS,
 )
 from .apparatus import build_apparatus
 from .qstate import ATOL_SPECTRAL, DIM, INDEX_BITS, Party, assert_density_shape, real_trace
@@ -63,19 +65,11 @@ class ContextPair:
     bob: Setting
 
 
-# (party, generator symbol) -> (setting, OUTCOME_BITS column), Alice's bits first
-_READOUT: dict[tuple[Party, str], tuple[Setting, int]] = {
-    (party, symbol): (setting, (0 if party is Party.ALICE else 2) + bit)
-    for (party, setting), symbols in CONTEXT_SYMBOLS.items()
-    for bit, symbol in enumerate(symbols[:2])
-}
-
-
 @lru_cache(maxsize=None)
 def context_pair(corr_id: str) -> ContextPair:
     """The unique device-setting pair in which a correlation is measurable."""
-    settings = {party: _READOUT[party, symbol][0] for party, symbol in CORRELATION_BY_ID[corr_id].factors}
-    return ContextPair(alice=settings[Party.ALICE], bob=settings[Party.BOB])
+    alice, bob = _setting_pair(CORRELATION_BY_ID[corr_id])
+    return ContextPair(alice=alice, bob=bob)
 
 
 # signed readout bits per outcome index, columns (bit1_A, bit2_A, bit1_B, bit2_B)
@@ -100,8 +94,8 @@ def _joint_projectors(alice: Setting, bob: Setting) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _statistic_signs(corr_id: str) -> np.ndarray:
     """Per-outcome value (+-1) of a correlation's bit-product statistic."""
-    columns = [_READOUT[factor][1] for factor in CORRELATION_BY_ID[corr_id].factors]
-    signs = OUTCOME_BITS[:, columns].prod(axis=1)
+    signs = np.ones(DIM, dtype=int)
+    signs[list(_ODD_BINS[corr_id])] = -1
     signs.setflags(write=False)
     return signs
 
@@ -161,9 +155,13 @@ def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) 
     return np.random.Generator(bits)
 
 
+def _multinomial(rng: np.random.Generator, dist: np.ndarray, n: int) -> list[int]:
+    """Counts of n events over the 16 outcomes, dist normalised; all 0 when n is 0."""
+    return rng.multinomial(n, dist / dist.sum()).tolist()
+
+
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
-    counts = rng.multinomial(n, dist / dist.sum()) if n > 0 else np.zeros(DIM, dtype=int)
-    return CountTable(tuple(counts.tolist()), int(n))
+    return CountTable(tuple(_multinomial(rng, dist, n)), int(n))
 
 
 def sample_events(dist, n: int, seed: int) -> CountTable:
@@ -177,13 +175,6 @@ def sample_events(dist, n: int, seed: int) -> CountTable:
     return _draw_counts(_stream(seed, 0), p, n)
 
 
-def _estimate(corr_id: str, counts: np.ndarray, n: int) -> CorrelationEstimate:
-    """E = (counts . signs) / n for integer counts of n events, summed exactly."""
-    e = int(np.dot(counts, _statistic_signs(corr_id))) / n
-    stderr = math.sqrt(max(1.0 - e * e, 0.0) / n)
-    return CorrelationEstimate(corr_id, e, stderr, n)
-
-
 def estimate_correlation(table: CountTable, corr: Correlation | str) -> CorrelationEstimate:
     """Counting estimator and binomial standard error for one correlation."""
     corr_id = corr.id if isinstance(corr, Correlation) else corr
@@ -194,10 +185,8 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
     for c in table.counts:
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):
             raise ValueError(f"counts must be integers, got {type(c).__name__} values")
-    # summed as Python integers: numpy promotes uint64 counts to float64
-    # and has no integer type for counts of 2**64 or more
-    counts = np.array([int(c) for c in table.counts], dtype=object)
-    return _estimate(corr_id, counts, int(table.total))
+    # scored as Python integers: numpy fixed-width counts wrap or round
+    return _estimate(corr_id, [int(c) for c in table.counts], int(table.total))
 
 
 def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentReport:
@@ -214,50 +203,15 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
     """
     dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
     bits = np.random.Philox()
-    estimates = []
-    m_histogram = (math.nan,) * DIM
-    m_fidelity = math.nan
+    rows = []
     for idx, (corr, dist) in enumerate(zip(CORRELATIONS, dists)):
         rng = _stream(seed, idx, bits)
-        n = int(rng.poisson(schedule.mean_counts(corr.id)))
-        if n == 0:
-            # nothing counted: the row and every aggregate that reads it are
-            # undefined, NaN here and null in the documents
-            estimates.append(CorrelationEstimate(corr.id, math.nan, math.nan, 0))
-            continue
-        counts = rng.multinomial(n, dist / dist.sum())
-        estimates.append(_estimate(corr.id, counts, n))
-        if corr.id == "M":
-            m_histogram = tuple(counts / n)
-            m_fidelity = int(counts[_statistic_signs("M") < 0].sum()) / n
-    bell, stderr, sigma = _aggregate(estimates)
-    return ExperimentReport(
-        estimates=tuple(estimates),
-        bell_value=bell,
-        bell_stderr=stderr,
-        sigma_violation=sigma,
-        m_fidelity=m_fidelity,
-        m_histogram=m_histogram,
-        seed=seed,
-        schedule=schedule,
-    )
+        rows.append(_multinomial(rng, dist, rng.poisson(schedule.mean_counts(corr.id))))
+    return _sampled_report(rows, schedule, seed)
 
 
 def predict_exact(rho: np.ndarray) -> ExperimentReport:
     """Analytic report: expectation values instead of sampled counts."""
     values = correlation_expectations(rho).tolist()
-    estimates = [CorrelationEstimate(corr.id, e, 0.0, 0) for corr, e in zip(CORRELATIONS, values)]
     bell = real_trace(bell_operator(), rho)
-    hist = outcome_distribution(rho, context_pair("M"))
-    signs = _statistic_signs("M")
-    fidelity = float(hist[signs < 0].sum())
-    return ExperimentReport(
-        estimates=tuple(estimates),
-        bell_value=bell,
-        bell_stderr=0.0,
-        sigma_violation=_sigma_violation(bell, 0.0),
-        m_fidelity=fidelity,
-        m_histogram=tuple(float(x) for x in hist),
-        seed=None,
-        schedule=None,
-    )
+    return _exact_report(values, bell, outcome_distribution(rho, context_pair("M")).tolist())

@@ -26,7 +26,7 @@ import itertools
 from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
-from ._tables import CORRELATION_IDS, CORRELATIONS, SYMBOLS
+from ._tables import CORRELATION_IDS, CORRELATIONS, SYMBOLS, _index_bits
 
 _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 
@@ -45,7 +45,6 @@ CONSTRAINTS: tuple[Constraint, ...] = tuple(
     for k, corr in enumerate(CORRELATIONS, start=1)
 )
 _M = CORRELATION_IDS.index("M")
-_M_SYMBOLS = CONSTRAINTS[_M].symbols
 
 
 def with_flipped_sign(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -> tuple[Constraint, ...]:
@@ -201,14 +200,14 @@ def lr_m_histogram() -> tuple[float, ...]:
 
     Local realism committed to the eight non-M correlations pins the
     admissible assignments; their (zAzA', xAxA', zBxB', xBzB') tuples give
-    the 16-bin histogram (bit +1 maps to 0, same indexing as the counting
-    module).  The support sits entirely on even-product outcomes, the
-    exact complement of the quantum prediction.
+    the 16-bin histogram, each bin the readout bits (_tables) of the
+    symbols valued -1.  The support sits entirely on even-product
+    outcomes, the exact complement of the quantum prediction.
     """
     admissible = non_m_satisfying_assignments()
     counts = [0] * 16
     for a in admissible:
-        counts[sum(8 >> j for j, s in enumerate(_M_SYMBOLS) if value_of(a, s) < 0)] += 1
+        counts[_index_bits(f for f in CORRELATIONS[_M].factors if value_of(a, f[1]) < 0)] += 1
     return tuple(c / len(admissible) for c in counts)
 
 

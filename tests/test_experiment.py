@@ -17,13 +17,13 @@ from avnsim.experiment import (
     run_schedule,
     sample_events,
     OUTCOME_BITS,
-    _READOUT,
     _draw_counts,
-    _estimate,
     _joint_projectors,
     _statistic_signs,
     _stream,
 )
+from avnsim._records import _estimate
+from avnsim._tables import _READOUT
 from avnsim.apparatus import build_apparatus
 from avnsim.observables import (
     CONTEXT_SYMBOLS,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avnsim import _frame, reference
+from avnsim import _frame, _tables, reference
 from avnsim.experiment import _born_stack, _joint_projectors, _probabilities, _statistic_signs, context_pair, predict_exact, run_schedule
 from avnsim.observables import CORRELATION_IDS, SYMBOLS, correlation_operators, local_observable
 from avnsim.qstate import DIM
@@ -46,7 +46,7 @@ def test_each_row_bin_formula_gives_the_devices_outcome_projectors(idx, corr_id)
 
 @pytest.mark.parametrize("idx, corr_id", list(enumerate(CORRELATION_IDS)))
 def test_each_row_statistic_is_its_correlation_word_and_the_dense_signs(idx, corr_id):
-    mask = _frame._STATISTIC_MASKS[idx]
+    mask = _tables._STATISTIC_MASKS[idx]
     assert _frame._ROW_SUBSET_WORDS[idx][mask] == _frame._CORRELATION_WORDS[idx]
     assert [(-1) ** (b & mask).bit_count() for b in range(DIM)] == _statistic_signs(corr_id).tolist()
 
