@@ -32,7 +32,9 @@ def _canonical_phase(phi: float, where: str) -> float:
     """Map a finite angle into [-pi, pi); where names the field in the error."""
     if not math.isfinite(phi):
         raise ValueError(f"{where} must be finite, got {phi}")
-    return float((phi + math.pi) % (2.0 * math.pi) - math.pi)
+    phi = float((phi + math.pi) % (2.0 * math.pi) - math.pi)
+    # just below -pi, phi + pi rounds the modulus up to 2 pi
+    return -math.pi if phi == math.pi else phi
 
 
 def _config_block(d, where: str, known) -> dict:
@@ -59,8 +61,7 @@ class _Checked(tuple):
     """Base of the records whose __new__ checks and canonicalises the fields.
 
     _make, and so _replace, checks too.  pickle and copy restore the stored
-    fields without checking them again: canonicalising a phase twice can
-    move it (pi becomes -pi).
+    fields without checking them again.
     """
 
     __slots__ = ()

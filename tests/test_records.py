@@ -15,13 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from avnsim._records import NoiseModel, Schedule, SourceConfig
 
-# the next float below -pi canonicalises to +pi, and pi canonicalised again
-# is -pi: a round trip that checked again would move it
 EDGE_PHASE = math.nextafter(-math.pi, -math.inf)
 
 RECORDS = [
     (SourceConfig(0.7), "SourceConfig(phi=0.7000000000000002)"),
-    (SourceConfig(EDGE_PHASE), "SourceConfig(phi=3.141592653589793)"),
+    (SourceConfig(EDGE_PHASE), "SourceConfig(phi=-3.141592653589793)"),
     (
         NoiseModel(0.1, 0.9, 0.8, -1.2),
         "NoiseModel(white_noise_weight=0.1, pol_visibility=0.9, path_visibility=0.8, phase_offset=-1.2)",
@@ -81,8 +79,8 @@ def test_each_schedule_gets_a_fresh_overrides_dict():
     assert Schedule().overrides == {}
 
 
-# from_dict checks again, so the edge phase would come back as -pi
-ROUND_TRIP = [RECORDS[0], *RECORDS[2:]]
+EDGE_NOISE = NoiseModel(phase_offset=EDGE_PHASE)
+ROUND_TRIP = [*RECORDS, (EDGE_NOISE, repr(EDGE_NOISE))]
 
 
 @pytest.mark.parametrize("record, _", ROUND_TRIP, ids=[text for _, text in ROUND_TRIP])
@@ -121,3 +119,23 @@ def test_records_are_tuples_of_their_fields():
     assert hash(SourceConfig(0.5)) == hash((0.5,))
     pair_rate, duration, overrides = Schedule()
     assert (pair_rate, duration, overrides) == (32000.0, 1.0, {})
+
+
+def _near(x, steps=64):
+    """x and the floats within steps ulps of it on either side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("centre", [-3 * math.pi, -math.pi, 0.0, math.pi, 3 * math.pi])
+def test_a_canonical_phase_lies_in_the_half_open_range_and_is_kept(centre):
+    for phi in _near(centre):
+        canonical = SourceConfig(phi).phi
+        assert -math.pi <= canonical < math.pi, phi
+        assert SourceConfig(canonical).phi == canonical
+        assert NoiseModel(phase_offset=phi).phase_offset == canonical
