@@ -106,6 +106,37 @@ class TestAvnAudit:
         )
         assert avn_audit().histogram == expected
 
+    def test_certificate_histogram_is_the_closed_form_of_the_encoded_system(self):
+        # every symbol sits in two constraints, so each flip word has weight
+        # 2 and their span holds only even-weight words; at rank n - 1 it is
+        # all of them, so the violated sets (the sign word plus the span) are
+        # exactly the words of the sign word's parity, each reached by
+        # 2^(12 - rank) assignments
+        sign, flips = lhv._encode(CONSTRAINTS)
+        n = len(CONSTRAINTS)
+        assert {flip.bit_count() for flip in flips} == {2}
+        rank = _gf2_rank(flips)
+        assert rank == n - 1 == 8
+        assert sign.bit_count() == 5
+        closed = [
+            2 ** (len(SYMBOLS) - rank) * math.comb(n, n - k) if (n - k) % 2 == sign.bit_count() % 2 else 0
+            for k in range(n + 1)
+        ]
+        assert closed == [16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0]
+        assert certificate()["histogram_by_satisfied_count"] == closed
+
+
+def _gf2_rank(words):
+    """Rank over GF(2) of integers read as bit vectors, by elimination on the lowest set bit."""
+    rows, rank = list(words), 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [row ^ pivot if row & low else row for row in rows]
+    return rank
+
 
 class TestLrBound:
     def test_max_is_seven(self):
