@@ -36,8 +36,8 @@ from functools import reduce
 from typing import NamedTuple
 
 from . import _sampler
-from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _exact_report, _sampled_report
-from ._tables import ATOL_ALGEBRA, ATOL_SPECTRAL, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party, _setting_pair
+from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _sampled_report
+from ._tables import ATOL_ALGEBRA, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party, _setting_pair
 
 Word = tuple[int, int, int]
 
@@ -107,7 +107,7 @@ def _born_rows(expect, rows) -> list[list[float]]:
 
     Each bin is summed left to right, as the sum() of Python 3.11 and
     earlier does; later sum()s compensate round-off, and one ulp moves the
-    draws.  The checks are those of experiment._probabilities.
+    draws.  _records._distributions checks and clips them.
     """
     table = []
     for k in rows:
@@ -119,12 +119,7 @@ def _born_rows(expect, rows) -> list[list[float]]:
                 acc = acc - e if (mask & b).bit_count() % 2 else acc + e
             row.append(acc / 16)
         table.append(row)
-    low = min(min(row) for row in table)
-    if low < -ATOL_SPECTRAL:
-        raise ValueError(f"negative outcome probability {low:.3e}")
-    if max(abs(math.fsum(row) - 1.0) for row in table) > ATOL_SPECTRAL:
-        raise ValueError("outcome probabilities do not sum to 1")
-    return [[p if p > 0.0 else 0.0 for p in row] for row in table]
+    return _distributions(table)
 
 
 def born_rows(source: SourceConfig, noise: NoiseModel) -> list[list[float]]:

@@ -17,7 +17,7 @@ import numbers
 from collections import namedtuple
 from typing import Mapping, NamedTuple
 
-from ._tables import _ODD_BINS, CORRELATION_BY_ID, CORRELATIONS
+from ._tables import _ODD_BINS, ATOL_SPECTRAL, CORRELATION_BY_ID, CORRELATIONS
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -284,6 +284,21 @@ def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
     stderr = math.sqrt(var)
     sigma = _sigma_violation(bell, stderr)
     return ExperimentReport(tuple(estimates), bell, stderr, sigma, m_fidelity, m_histogram, seed, schedule)
+
+
+def _peak(values: list[float]) -> float:
+    """The largest of values, or NaN when one of them is NaN, as numpy's max."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _distributions(table) -> list[list[float]]:
+    """16-bin rows of floats checked and clipped at 0 as experiment._probabilities does a numpy table."""
+    low = -_peak([-p for row in table for p in row])
+    if low < -ATOL_SPECTRAL:
+        raise ValueError(f"negative outcome probability {low:.3e}")
+    if _peak([abs(sum(row) - 1.0) for row in table]) > ATOL_SPECTRAL:
+        raise ValueError("outcome probabilities do not sum to 1")
+    return [[0.0 if p <= 0.0 else p for p in row] for row in table]
 
 
 def _exact_report(values, bell: float, m_row) -> ExperimentReport:

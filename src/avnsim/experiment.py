@@ -13,8 +13,9 @@ A run draws a Poisson number n of pairs per correlation and samples the
 16 outcome counts; _records scores the nine count rows, E = [C(+1) -
 C(-1)]/n in exact integers with standard error sqrt((1 - E^2)/n).  Each
 correlation draws from its own Philox stream keyed by (seed, correlation
-index), one generator re-keyed per run, so reports are bit-reproducible
-in any order; the nine Born rows are one contraction.
+index), one Philox per run re-keyed and wrapped in a new Generator for
+each, so reports are bit-reproducible in any order.  The nine Born rows
+are one contraction, and so are predict_exact's values and M row.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -41,8 +42,10 @@ from ._records import (  # re-exported: the report records live in the numpy-fre
     CorrelationEstimate,
     ExperimentReport,
     Schedule,
+    _distributions,
     _estimate,
     _exact_report,
+    _peak,
     _sampled_report,
     check_seed,
 )
@@ -53,10 +56,10 @@ from .observables import (
     Correlation,
     Setting,
     bell_operator,
-    correlation_expectations,
+    correlation_operators,
 )
 from .apparatus import build_apparatus
-from .qstate import ATOL_SPECTRAL, DIM, INDEX_BITS, Party, assert_density_shape, real_trace
+from .qstate import ATOL_ALGEBRA, ATOL_SPECTRAL, DIM, INDEX_BITS, ConsistencyError, Party, assert_density_shape
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,13 @@ def _born_stack() -> np.ndarray:
     return stack
 
 
-def _born_weights(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
-    """Complex trace(rho @ P) for the 16 joint outcome projectors P of a pair."""
-    return np.einsum("oij,ji->o", _joint_projectors(pair.alice, pair.bob), rho)
+@lru_cache(maxsize=None)
+def _exact_stack() -> np.ndarray:
+    """(26, 16, 16) stack of the nine correlation operators, the Bell operator and the M pair's 16 projectors."""
+    m = context_pair("M")
+    stack = np.concatenate([correlation_operators(), bell_operator()[None], _joint_projectors(m.alice, m.bob)])
+    stack.setflags(write=False)
+    return stack
 
 
 def _probabilities(p: np.ndarray) -> np.ndarray:
@@ -128,7 +135,7 @@ def _probabilities(p: np.ndarray) -> np.ndarray:
 
 def outcome_distribution(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
     """Born-rule probabilities of the 16 joint outcomes for a setting pair."""
-    return _probabilities(_born_weights(assert_density_shape(rho), pair))
+    return _probabilities(np.einsum("oij,ji->o", _joint_projectors(pair.alice, pair.bob), assert_density_shape(rho)))
 
 
 @dataclass(frozen=True)
@@ -193,13 +200,13 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
     """Sample all nine correlations and aggregate the Bell statistics.
 
     Event counts are Poisson around rate*duration; each correlation uses
-    its own (seed, index) Philox stream, one generator re-keyed to each,
-    so identical inputs give bit-identical reports regardless of
-    evaluation order.  A correlation that draws no events reports E and
-    stderr as NaN, and so do the Bell value, its stderr and sigma (any
-    row) and the M fidelity and histogram (the M row).  The nine outcome
-    distributions are one contraction with the stacked projectors,
-    checked as one table before any draw.
+    its own (seed, index) Philox stream, one Philox re-keyed to each, so
+    identical inputs give bit-identical reports regardless of evaluation
+    order.  A correlation that draws no events reports E and stderr as
+    NaN, and so do the Bell value, its stderr and sigma (any row) and the
+    M fidelity and histogram (the M row).  The nine outcome distributions
+    are one contraction with the stacked projectors, checked as one table
+    before any draw.
     """
     dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
     bits = np.random.Philox()
@@ -211,7 +218,13 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
 
 
 def predict_exact(rho: np.ndarray) -> ExperimentReport:
-    """Analytic report: expectation values instead of sampled counts."""
-    values = correlation_expectations(rho).tolist()
-    bell = real_trace(bell_operator(), rho)
-    return _exact_report(values, bell, outcome_distribution(rho, context_pair("M")).tolist())
+    """Analytic report (expectation values, not counts) from one contraction with
+    _exact_stack, checked in the order and with the messages of mixed_expectation and _probabilities."""
+    values = np.einsum("kij,ji->k", _exact_stack(), assert_density_shape(rho))
+    real, imag = values.real.tolist(), values.imag.tolist()
+    for peak in (_peak([abs(v) for v in imag[:9]]), abs(imag[9])):
+        if peak > ATOL_ALGEBRA:
+            raise ConsistencyError(f"mixed expectation has imaginary part {peak:.3e}")
+    if _peak([abs(v) for v in imag[10:]]) > ATOL_SPECTRAL:
+        raise ValueError("outcome probabilities acquired an imaginary part")
+    return _exact_report(real[:9], real[9], *_distributions([real[10:]]))

@@ -175,17 +175,8 @@ def expectation(obs: np.ndarray, state: np.ndarray) -> float:
 
 
 def mixed_expectation(obs: np.ndarray, rho: np.ndarray) -> float:
-    """trace(rho @ obs), checked real within tolerance.
-
-    For external callers: obs is checked Hermitian on every call, so any
-    operator may be passed.  The cached operators of the observables
-    module were checked once when built and are contracted without it.
-    """
-    return real_trace(assert_observable(obs), rho)
-
-
-def real_trace(obs: np.ndarray, rho: np.ndarray) -> float:
-    """trace(rho @ obs) for an obs already known to be Hermitian, checked real."""
+    """trace(rho @ obs) for any operator obs, checked Hermitian, and checked real within tolerance."""
+    obs = assert_observable(obs)
     val = complex(np.einsum("ij,ji->", assert_density_shape(rho), obs))
     if abs(val.imag) > ATOL_ALGEBRA:
         raise ConsistencyError(f"mixed expectation has imaginary part {val.imag:.3e}")

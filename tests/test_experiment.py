@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from avnsim.observables import (
     Setting,
     bell_operator,
     correlation_operator,
+    local_observable,
 )
-from avnsim.qstate import DIM, Party, mixed_expectation
+from avnsim.qstate import DIM, ConsistencyError, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 from avnsim import _frame, reference
 
@@ -165,6 +167,7 @@ def test_predict_exact_equals_the_per_operator_expectations_exactly(phi, w, vp, 
     for corr, est in zip(CORRELATIONS, exact.estimates):
         assert est.E == mixed_expectation(correlation_operator(corr), rho), corr.id
     assert exact.bell_value == mixed_expectation(bell_operator(), rho)
+    assert exact.m_histogram == tuple(outcome_distribution(rho, context_pair("M")).tolist())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
@@ -589,3 +592,59 @@ def test_poisson_limit_is_numpys_largest_mean():
 def test_outcome_distribution_rejects_each_defect(rho, message):
     with pytest.raises(ValueError, match=message):
         outcome_distribution(rho, context_pair("ZZ"))
+
+
+# the same defects through predict_exact, whose one contraction is checked
+# value by value: the nine E values, then the Bell value, then the M row
+@pytest.mark.parametrize(
+    "rho, error, message",
+    [
+        (np.eye(DIM) / DIM + 1e-6j * correlation_operator("ZZ"), ConsistencyError,
+         r"^mixed expectation has imaginary part 1\.600e-05$"),
+        # one-party, so only the M row, read in setting c, is complex
+        (np.eye(DIM) / DIM + 1e-6j * local_observable("zAzA'"), ValueError,
+         "^outcome probabilities acquired an imaginary part$"),
+        ((np.eye(DIM) + 3 * correlation_operator("M")) / DIM, ValueError, r"^negative outcome probability -1\.250e-01$"),
+        (2 * np.eye(DIM) / DIM, ValueError, "^outcome probabilities do not sum to 1$"),
+    ],
+    ids=["imaginary_value", "imaginary_m_row", "negative", "sum"],
+)
+def test_predict_exact_rejects_each_defect(rho, error, message):
+    with pytest.raises(error, match=message) as raised:
+        predict_exact(rho)
+    assert raised.type is error
+
+
+def _with_entries(entries) -> np.ndarray:
+    rho = np.eye(DIM, dtype=complex) / DIM
+    for index, value in entries.items():
+        rho[index] = value
+    return rho
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [_with_entries({(3, 5): math.nan}), _with_entries({(i, i): math.inf for i in range(DIM)})],
+    ids=["one_nan_entry", "inf_diagonal"],
+)
+def test_predict_exact_passes_a_non_finite_state_through_as_nan(rho):
+    report = predict_exact(rho)
+    values = [est.E for est in report.estimates] + [report.bell_value, report.m_fidelity, *report.m_histogram]
+    assert all(math.isnan(v) for v in values)
+
+
+def test_predict_exact_checks_an_m_row_with_a_nan_bin_as_numpy_does():
+    # rho[0, 1] = inf makes the M bins +inf, -inf and NaN; numpy's min and max
+    # of such a row are NaN, so no check fires, and -inf clips to 0
+    report = predict_exact(_with_entries({(0, 1): math.inf}))
+    inf = math.inf
+    assert report.m_histogram[:8] == (inf, inf, 0.0, 0.0, inf, inf, 0.0, 0.0)
+    assert all(math.isnan(p) for p in report.m_histogram[8:])
+
+
+def test_predict_exact_contracts_the_density_matrix_once():
+    rho = noisy_rho()
+    predict_exact(rho)  # fills the operator caches
+    with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+        predict_exact(rho)
+    assert einsum.call_count == 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from avnsim import _frame, _tables, reference
 from avnsim.experiment import _born_stack, _joint_projectors, _probabilities, _statistic_signs, context_pair, predict_exact, run_schedule
-from avnsim.observables import CORRELATION_IDS, SYMBOLS, correlation_operators, local_observable
+from avnsim.observables import CORRELATION_IDS, CORRELATIONS, SYMBOLS, correlation_operators, local_observable
 from avnsim.qstate import DIM
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 
@@ -49,6 +49,44 @@ def test_each_row_statistic_is_its_correlation_word_and_the_dense_signs(idx, cor
     mask = _tables._STATISTIC_MASKS[idx]
     assert _frame._ROW_SUBSET_WORDS[idx][mask] == _frame._CORRELATION_WORDS[idx]
     assert [(-1) ** (b & mask).bit_count() for b in range(DIM)] == _statistic_signs(corr_id).tolist()
+
+
+# the ideal state's amplitudes on |HRVL>, |HLVR>, |VRHL>, |VLHR>, doubled
+# to integers, and i^k as a Gaussian integer (real, imaginary)
+_TWO_PSI = {3: 1, 6: -1, 9: -1, 12: 1}
+_GAUSSIAN_I_POWER = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _four_e(word) -> tuple[int, int]:
+    """4 <psi|i^k X^x Z^z|psi> as a Gaussian integer: sum_b conj(2psi(b^x)) 2psi(b) (-1)^|z&b| i^k."""
+    x, z, k = word
+    total = sum(_TWO_PSI.get(b ^ x, 0) * amp * (-1) ** (z & b).bit_count() for b, amp in _TWO_PSI.items())
+    re, im = _GAUSSIAN_I_POWER[k]
+    return total * re, total * im
+
+
+def test_all_nine_correlations_hold_exactly_on_the_ideal_state():
+    # the QM side of the all-versus-nothing argument in integers: 4E = 4 sign,
+    # with no imaginary part, for every correlation word at once
+    assert [_four_e(w) for w in _frame._CORRELATION_WORDS] == [(4 * corr.sign, 0) for corr in CORRELATIONS]
+
+
+def test_the_frames_ideal_state_is_the_integer_state_on_every_word():
+    expect = _frame._expectation(SourceConfig(), NoiseModel())
+    for x in range(DIM):
+        for z in range(DIM):
+            for k in range(4):
+                assert 4.0 * expect((x, z, k)) == _four_e((x, z, k))[0], (x, z, k)
+
+
+@pytest.mark.parametrize("idx, corr_id", list(enumerate(CORRELATION_IDS)))
+def test_the_words_read_in_one_setting_pair_commute(idx, corr_id):
+    # even symplectic product |x1 & z2| + |z1 & x2|: the four generators and
+    # the correlation word they read are measured together
+    words = [_frame.word(g) for g in _frame._generators(CORRELATIONS[idx])] + [_frame._CORRELATION_WORDS[idx]]
+    for x1, z1, _ in words:
+        for x2, z2, _ in words:
+            assert ((x1 & z2).bit_count() + (z1 & x2).bit_count()) % 2 == 0, corr_id
 
 
 def test_unknown_symbol_is_rejected():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avnsim import _frame, experiment
-from avnsim.experiment import Schedule, _born_stack, _born_weights, _joint_projectors, _stream, context_pair, sample_events
-from avnsim.observables import CORRELATIONS
+from avnsim.experiment import Schedule, _born_stack, _exact_stack, _joint_projectors, _stream, context_pair, sample_events
+from avnsim.observables import CORRELATIONS, bell_operator, correlation_operators
 from avnsim.qstate import DIM
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 
@@ -81,6 +81,16 @@ def test_the_born_stack_is_the_nine_pairs_read_only_in_correlation_order():
         assert row.tobytes() == _joint_projectors(pair.alice, pair.bob).tobytes(), corr.id
 
 
+def test_the_exact_stack_is_the_nine_operators_the_bell_operator_and_the_m_projectors_read_only():
+    stack = _exact_stack()
+    pair = context_pair("M")
+    rows = [*correlation_operators(), bell_operator(), *_joint_projectors(pair.alice, pair.bob)]
+    assert stack.shape == (len(CORRELATIONS) + 1 + DIM, DIM, DIM)
+    assert stack.dtype == complex
+    assert not stack.flags.writeable
+    assert [row.tobytes() for row in stack] == [row.tobytes() for row in rows]
+
+
 _UNIT = st.floats(0.0, 1.0)
 _ANGLE = st.floats(-math.pi, math.pi)
 _AMPLITUDES = st.lists(st.floats(-1.0, 1.0), min_size=2 * DIM, max_size=2 * DIM).filter(
@@ -99,6 +109,7 @@ def test_the_stacked_born_table_equals_the_per_pair_rows_bit_for_bit(parts, phi,
         with mock.patch.object(experiment, "_probabilities", wraps=experiment._probabilities) as checked:
             experiment.run_schedule(rho, Schedule(pair_rate=2.0), 0)
         (table,), _ = checked.call_args
-        rows = np.array([_born_weights(rho, context_pair(corr.id)) for corr in CORRELATIONS])
+        pairs = [context_pair(corr.id) for corr in CORRELATIONS]
+        rows = np.array([np.einsum("oij,ji->o", _joint_projectors(p.alice, p.bob), rho) for p in pairs])
         assert table.shape == rows.shape
         assert table.tobytes() == rows.tobytes()
