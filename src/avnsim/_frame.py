@@ -107,7 +107,7 @@ def _born_rows(expect, rows) -> list[list[float]]:
 
     Each bin is summed left to right, as the sum() of Python 3.11 and
     earlier does; later sum()s compensate round-off, and one ulp moves the
-    draws.  _records._distributions checks and clips them.
+    draws.  _records._distributions checks them, summed by math.fsum, and clips them.
     """
     table = []
     for k in rows:
@@ -119,7 +119,7 @@ def _born_rows(expect, rows) -> list[list[float]]:
                 acc = acc - e if (mask & b).bit_count() % 2 else acc + e
             row.append(acc / 16)
         table.append(row)
-    return _distributions(table)
+    return _distributions(table, math.fsum)
 
 
 def born_rows(source: SourceConfig, noise: NoiseModel) -> list[list[float]]:

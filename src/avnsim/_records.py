@@ -291,12 +291,12 @@ def _peak(values: list[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _distributions(table) -> list[list[float]]:
-    """16-bin rows of floats checked and clipped at 0 as experiment._probabilities does a numpy table."""
+def _distributions(table, total=sum) -> list[list[float]]:
+    """16-bin rows checked, each summed by total, and clipped at 0 as experiment._probabilities does a numpy table."""
     low = -_peak([-p for row in table for p in row])
     if low < -ATOL_SPECTRAL:
         raise ValueError(f"negative outcome probability {low:.3e}")
-    if _peak([abs(sum(row) - 1.0) for row in table]) > ATOL_SPECTRAL:
+    if _peak([abs(total(row) - 1.0) for row in table]) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities do not sum to 1")
     return [[0.0 if p <= 0.0 else p for p in row] for row in table]
 

@@ -218,13 +218,13 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
 
 
 def predict_exact(rho: np.ndarray) -> ExperimentReport:
-    """Analytic report (expectation values, not counts) from one contraction with
-    _exact_stack, checked in the order and with the messages of mixed_expectation and _probabilities."""
+    """Analytic report (expectation values, not counts) from one contraction with _exact_stack,
+    checked as correlation_expectations, mixed_expectation and _probabilities check, in order."""
     values = np.einsum("kij,ji->k", _exact_stack(), assert_density_shape(rho))
     real, imag = values.real.tolist(), values.imag.tolist()
-    for peak in (_peak([abs(v) for v in imag[:9]]), abs(imag[9])):
-        if peak > ATOL_ALGEBRA:
-            raise ConsistencyError(f"mixed expectation has imaginary part {peak:.3e}")
+    for part in (_peak([abs(v) for v in imag[:9]]), imag[9]):
+        if abs(part) > ATOL_ALGEBRA:
+            raise ConsistencyError(f"mixed expectation has imaginary part {part:.3e}")
     if _peak([abs(v) for v in imag[10:]]) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities acquired an imaginary part")
     return _exact_report(real[:9], real[9], *_distributions([real[10:]]))

@@ -41,6 +41,7 @@ from .qstate import (
     SubsystemSlot,
     PAULI_X,
     PAULI_Z,
+    assert_density_shape,
     assert_observable,
     commutator_norm,
     expectation,
@@ -136,6 +137,19 @@ def bell_operator() -> np.ndarray:
     assert_observable(op)
     op.setflags(write=False)
     return op
+
+
+def correlation_expectations(rho: np.ndarray) -> np.ndarray:
+    """The nine trace(rho @ op) in CORRELATIONS order, checked real within tolerance.
+
+    The operators were checked Hermitian when built, so only rho's shape
+    is checked here, and all nine are contracted at once.
+    """
+    values = np.einsum("kij,ji->k", correlation_operators(), assert_density_shape(rho))
+    imag = float(np.max(np.abs(values.imag)))
+    if imag > ATOL_ALGEBRA:
+        raise ConsistencyError(f"mixed expectation has imaginary part {imag:.3e}")
+    return values.real
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ import numpy as np
 from . import qstate
 from ._frame import FitResult, fit_noise  # re-exported: the fit reads the numpy-free frame
 from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block, _config_float
+from .observables import correlation_expectations
 from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS
 
 
@@ -86,5 +87,4 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
 
 def predicted_correlations(model: NoiseModel, phi: float = 0.0) -> np.ndarray:
     """The nine correlation expectations of the noisy source."""
-    from .experiment import predict_exact  # experiment loads apparatus, which loads this module
-    return np.array([est.E for est in predict_exact(apply_noise(build_psi(phi), model)).estimates])
+    return correlation_expectations(apply_noise(build_psi(phi), model))

@@ -606,8 +606,12 @@ def test_outcome_distribution_rejects_each_defect(rho, message):
          "^outcome probabilities acquired an imaginary part$"),
         ((np.eye(DIM) + 3 * correlation_operator("M")) / DIM, ValueError, r"^negative outcome probability -1\.250e-01$"),
         (2 * np.eye(DIM) / DIM, ValueError, "^outcome probabilities do not sum to 1$"),
+        # each of the nine values has an imaginary part of -+8e-13, under ATOL_ALGEBRA;
+        # the Bell value's is 144 times -5e-14, reported with its sign
+        (np.eye(DIM) / DIM - 5e-14j * bell_operator(), ConsistencyError,
+         r"^mixed expectation has imaginary part -7\.200e-12$"),
     ],
-    ids=["imaginary_value", "imaginary_m_row", "negative", "sum"],
+    ids=["imaginary_value", "imaginary_m_row", "negative", "sum", "bell_imaginary"],
 )
 def test_predict_exact_rejects_each_defect(rho, error, message):
     with pytest.raises(error, match=message) as raised:

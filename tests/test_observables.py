@@ -11,6 +11,7 @@ from avnsim.observables import (
     Setting,
     bell_operator,
     context,
+    correlation_expectations,
     correlation_operator,
     correlation_operators,
     local_observable,
@@ -18,6 +19,7 @@ from avnsim.observables import (
 )
 from avnsim.qstate import (
     DIM,
+    ConsistencyError,
     Dof,
     KET_H,
     KET_L,
@@ -100,6 +102,13 @@ class TestCorrelationOperators:
         assert not stack.flags.writeable
         for k, corr in enumerate(CORRELATIONS):
             assert stack[k].tobytes() == correlation_operator(corr).tobytes()
+
+    def test_expectations_check_the_shape_and_the_imaginary_part(self):
+        with pytest.raises(ValueError, match=r"^density matrix must be 16x16$"):
+            correlation_expectations(np.eye(4))
+        # an anti-Hermitian admixture of ZZ gives trace(rho @ ZZ) an imaginary part
+        with pytest.raises(ConsistencyError, match="imaginary part"):
+            correlation_expectations(np.eye(DIM) / DIM + 1e-6j * correlation_operator("ZZ"))
 
 
 class TestBellOperator:
