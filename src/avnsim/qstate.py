@@ -14,6 +14,7 @@ sparse or clever, the dimension is tiny and clarity wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,13 +78,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _norm(psi: np.ndarray) -> float:
+    """The 2-norm of a complex vector, bit for bit as np.linalg.norm computes it, without its wrapper."""
+    re, im = psi.real, psi.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def assert_state(psi: np.ndarray, atol: float = ATOL_INPUT) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (DIM,):
         raise ValueError(f"state vector must have shape ({DIM},), got {psi.shape}")
-    if not np.all(np.isfinite(psi.view(float))):
+    if not np.isfinite(psi.view(float)).all():
         raise ValueError("state vector has non-finite amplitudes")
-    norm = float(np.linalg.norm(psi))
+    norm = _norm(psi)
     if abs(norm - 1.0) > atol:
         raise ValueError(f"state vector not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
     return psi

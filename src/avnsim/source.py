@@ -32,6 +32,10 @@ from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block,
 from .observables import correlation_expectations
 from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS
 
+# |HRVL>, |HLVR>, |VRHL>, |VLHR> sit at indices 3, 6, 9 and 12
+_SLOTS = np.array([3, 6, 9, 12])
+_SLOTS.setflags(write=False)
+
 
 def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
     """The doubly entangled state for a given path phase.
@@ -44,9 +48,8 @@ def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
         config = SourceConfig(float(config))
     phase = np.exp(1j * config.phi)
     psi = np.zeros(DIM, dtype=complex)
-    # |HRVL>, |HLVR>, |VRHL>, |VLHR> sit at indices 3, 6, 9 and 12
-    psi[[3, 6, 9, 12]] = 0.5 * np.array([1.0, -phase, -1.0, phase])
-    return psi / np.linalg.norm(psi)
+    psi[_SLOTS] = 0.5 * np.array([1.0, -phase, -1.0, phase])
+    return psi / qstate._norm(psi)
 
 
 def _mismatch(columns) -> np.ndarray:
@@ -54,11 +57,17 @@ def _mismatch(columns) -> np.ndarray:
     return (INDEX_BITS[:, None, columns] != INDEX_BITS[None, :, columns]).sum(axis=2)
 
 
-# per-photon dephasing masks: polarization bits (0, 2) and path bits (1, 3)
+# per-photon dephasing masks: polarization bits (0, 2) and path bits (1, 3);
+# each entry, 0, 1 or 2, indexes a visibility's power table in apply_noise
 _POL_MISMATCH = _mismatch([0, 2])
 _PATH_MISMATCH = _mismatch([1, 3])
-_POL_MISMATCH.setflags(write=False)
-_PATH_MISMATCH.setflags(write=False)
+_EXPONENTS = np.arange(3)
+# the white-noise state I/16 and Alice's path bit (index bit 1), complex as
+# the products they enter are, so that no call casts them
+_WHITE = np.eye(DIM, dtype=complex) / DIM
+_ALICE_PATH = INDEX_BITS[:, 1].astype(complex)
+for _table in (_POL_MISMATCH, _PATH_MISMATCH, _EXPONENTS, _WHITE, _ALICE_PATH):
+    _table.setflags(write=False)
 
 
 def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
@@ -73,15 +82,27 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     The dephasing mask is a positive-semidefinite kernel, so the output is
     a density matrix; a property test checks that, not this function.  Its
     trace is (1 - w) |psi|^2 + w, so |psi|^2 is held to tolerance at entry.
+
+    The masks, the exponents 0, 1, 2, I/16 and the path bit are read-only
+    module tables, so a call builds none of them.  Each visibility's
+    powers come from numpy's power ufunc on the three exponents, which
+    gives v ** k bit for bit as v ** mask does entry by entry; Python's
+    float ** rounds the last bit differently for some v, so the table is
+    not built with it.
     """
     psi = qstate.assert_state(state, atol=ATOL_ALGEBRA / 2)
-    # phase on Alice's path qubit (index bit 1), as a matrix product: the
-    # elementwise form rounds differently in the last digit of some documents
-    psi = np.diag(np.exp(1j * model.phase_offset * INDEX_BITS[:, 1])) @ psi
-    rho = np.outer(psi, psi.conj())
-    damp = (model.pol_visibility ** _POL_MISMATCH) * (model.path_visibility ** _PATH_MISMATCH)
+    # phase on Alice's path qubit, as a matrix product: the elementwise
+    # form rounds differently in the last digit of some documents
+    phase = np.zeros((DIM, DIM), dtype=complex)
+    phase.flat[:: DIM + 1] = np.exp(1j * model.phase_offset * _ALICE_PATH)
+    psi = phase @ psi
+    pol = model.pol_visibility ** _EXPONENTS
+    path = model.path_visibility ** _EXPONENTS
+    # np.outer(psi, psi.conj()) is this broadcast multiply
+    rho = pol[_POL_MISMATCH] * path[_PATH_MISMATCH] * (psi[:, None] * psi.conj())
     w = model.white_noise_weight
-    rho = (1.0 - w) * (damp * rho) + w * np.eye(DIM) / DIM
+    rho *= 1.0 - w
+    rho += w * _WHITE
     return rho
 
 

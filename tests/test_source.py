@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from avnsim.observables import CORRELATIONS, bell_operator, correlation_operator
-from avnsim.qstate import DIM, KET_H, KET_L, KET_R, KET_V, mixed_expectation, tensor4
+from avnsim.qstate import DIM, INDEX_BITS, KET_H, KET_L, KET_R, KET_V, assert_state, mixed_expectation, tensor4
 from avnsim.source import (
     NoiseModel,
     SourceConfig,
@@ -304,3 +305,70 @@ def test_apply_noise_output_is_a_density_matrix_over_the_whole_model_range(parts
     assert float(np.max(np.abs(rho - rho.conj().T))) <= 1e-12
     assert abs(complex(np.trace(rho)) - 1.0) <= 1e-12
     assert float(np.linalg.eigvalsh(rho).min()) >= -1e-12
+
+
+def _reference_psi(phi):
+    """The source state by direct numpy calls: a list index and np.linalg.norm."""
+    phase = np.exp(1j * SourceConfig(phi).phi)
+    psi = np.zeros(DIM, dtype=complex)
+    psi[[3, 6, 9, 12]] = 0.5 * np.array([1.0, -phase, -1.0, phase])
+    return psi / np.linalg.norm(psi)
+
+
+def _reference_noise(psi, model):
+    """The noise channel by direct numpy calls: np.diag, np.outer, v ** mask
+    over the whole mismatch masks and a fresh identity."""
+    pol = (INDEX_BITS[:, None, [0, 2]] != INDEX_BITS[None, :, [0, 2]]).sum(axis=2)
+    path = (INDEX_BITS[:, None, [1, 3]] != INDEX_BITS[None, :, [1, 3]]).sum(axis=2)
+    psi = np.diag(np.exp(1j * model.phase_offset * INDEX_BITS[:, 1])) @ psi
+    rho = np.outer(psi, psi.conj())
+    damp = (model.pol_visibility ** pol) * (model.path_visibility ** path)
+    w = model.white_noise_weight
+    return (1.0 - w) * (damp * rho) + w * np.eye(DIM) / DIM
+
+
+_BELOW_MINUS_PI = math.nextafter(-math.pi, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=_AMPLITUDES,
+    phi=st.floats(-10.0, 10.0),
+    w=st.floats(0.0, 1.0),
+    vp=st.floats(0.0, 1.0),
+    vq=st.floats(0.0, 1.0),
+    delta=st.floats(-10.0, 10.0),
+)
+@example(parts=[1.0] * (2 * DIM), phi=0.3, w=0.0, vp=0.0, vq=0.0, delta=math.pi)
+@example(parts=[1.0] * (2 * DIM), phi=-0.3, w=1.0, vp=1.0, vq=1.0, delta=-math.pi)
+@example(parts=[-1.0] * (2 * DIM), phi=math.pi, w=0.0, vp=1.0, vq=0.0, delta=_BELOW_MINUS_PI)
+@example(parts=[-1.0] * (2 * DIM), phi=_BELOW_MINUS_PI, w=1.0, vp=0.0, vq=1.0, delta=0.0)
+def test_state_and_channel_equal_the_reference_arithmetic_bit_for_bit(parts, phi, w, vp, vq, delta):
+    # the power table, the constant tables and the inline norm must round as
+    # the direct forms do, on whatever loops numpy dispatches to
+    psi = build_psi(phi)
+    assert psi.tobytes() == _reference_psi(phi).tobytes()
+    model = NoiseModel(w, vp, vq, delta)
+    state = np.array(parts[:DIM]) + 1j * np.array(parts[DIM:])
+    for pure in (psi, state / np.linalg.norm(state)):
+        assert apply_noise(pure, model).tobytes() == _reference_noise(pure, model).tobytes()
+
+
+_MISNORMALIZED = [build_psi(0.3) * (1 + 3e-9), np.ones(DIM), build_psi(-2.0) * 0.5j]
+
+
+@pytest.mark.parametrize("check", [assert_state, lambda psi: apply_noise(psi, NoiseModel())], ids=["assert_state", "apply_noise"])
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        (np.where(np.arange(DIM) == 5, np.nan, 0.25), "state vector has non-finite amplitudes"),
+        (np.full(DIM, 0.25 + 1j * np.inf), "state vector has non-finite amplitudes"),
+        (np.full(15, 0.25), f"state vector must have shape ({DIM},), got (15,)"),
+        (np.eye(4) / 2, f"state vector must have shape ({DIM},), got (4, 4)"),
+    ]
+    + [(psi, f"state vector not normalized: |norm - 1| = {abs(np.linalg.norm(psi) - 1.0):.3e}") for psi in _MISNORMALIZED],
+    ids=["nan", "inf-imaginary", "shape-15", "shape-4x4", "misnormalized-3e-9", "misnormalized-4", "misnormalized-half"],
+)
+def test_a_bad_state_is_rejected_with_its_exact_message(check, psi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check(psi)
