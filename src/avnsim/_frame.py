@@ -2,7 +2,7 @@
 
 Each of the twelve SYMBOLS is a four-qubit Pauli word (x, z, k), the
 operator i^k X^x Z^z, where x and z are masks over the basis-index bits
-(pol_A the most significant, as in qstate.INDEX_BITS).  Words compose as
+of the layout in _tables (pol_A the most significant).  Words compose as
 
     (x1, z1, k1)(x2, z2, k2) = (x1 ^ x2, z1 ^ z2, k1 + k2 + 2|z1 & x2| mod 4).
 
@@ -31,20 +31,17 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from functools import reduce
 from typing import NamedTuple
 
 from . import _sampler
 from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _sampled_report
-from ._tables import ATOL_ALGEBRA, CONTEXT_SYMBOLS, CORRELATIONS, SYMBOLS, Party, _setting_pair
+from ._tables import ATOL_ALGEBRA, CONTEXT_SYMBOLS, CORRELATIONS, Party, _factors, _setting_pair
+from ._tables import _PATH, _POL, _QUBIT_WEIGHT, _SOURCE_SLOTS, _WEIGHTS  # the basis layout
 
 Word = tuple[int, int, int]
 
 IDENTITY: Word = (0, 0, 0)
-# index bit of each [AB]'? slot, and the polarization and path masks
-_SLOT_BIT = {("A", ""): 8, ("A", "'"): 4, ("B", ""): 2, ("B", "'"): 1}
-_POL, _PATH = 0b1010, 0b0101
 _I_POWER = (1, 1j, -1, -1j)
 _BINS = 16
 
@@ -56,17 +53,11 @@ def compose(p: Word, q: Word) -> Word:
 
 def word(symbol: str) -> Word:
     """The word of one of the twelve SYMBOLS, its factors multiplied left to right."""
-    if symbol not in SYMBOLS:
-        raise KeyError(f"unknown observable symbol {symbol!r}")
     out = IDENTITY
-    for pauli, party, prime in re.findall(r"([zx])([AB])('?)", symbol):
-        bit = _SLOT_BIT[party, prime]
+    for pauli, qubit in _factors(symbol):
+        bit = _QUBIT_WEIGHT[qubit]
         out = compose(out, (bit, 0, 0) if pauli == "x" else (0, bit, 0))
     return out
-
-
-def _product(symbols) -> Word:
-    return reduce(compose, map(word, symbols), IDENTITY)
 
 
 def _generators(corr) -> tuple[str, ...]:
@@ -75,10 +66,10 @@ def _generators(corr) -> tuple[str, ...]:
     return CONTEXT_SYMBOLS[Party.ALICE, alice][:2] + CONTEXT_SYMBOLS[Party.BOB, bob][:2]
 
 
-_CORRELATION_WORDS = tuple(_product(symbol for _, symbol in corr.factors) for corr in CORRELATIONS)
-# generator i reads index bit 3 - i, so subset mask m holds G_i when bit 3 - i is set
+_CORRELATION_WORDS = tuple(reduce(compose, (word(symbol) for _, symbol in corr.factors), IDENTITY) for corr in CORRELATIONS)
+# generator i reads readout column i, so subset mask m holds G_i when m has that column's weight
 _ROW_SUBSET_WORDS = tuple(
-    tuple(reduce(compose, (g for i, g in enumerate(gens) if mask >> (3 - i) & 1), IDENTITY) for mask in range(_BINS))
+    tuple(reduce(compose, (g for i, g in enumerate(gens) if mask & _WEIGHTS[i]), IDENTITY) for mask in range(_BINS))
     for gens in (tuple(map(word, _generators(corr))) for corr in CORRELATIONS)
 )
 
@@ -87,7 +78,7 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
     """Tr(rho P) of a word P on the noisy source, as a function of P."""
     phase = cmath.exp(1j * (source.phi + noise.phase_offset))
     # |HRVL>, |HLVR>, |VRHL>, |VLHR>; the path phase sits on path_A = 1
-    psi = {3: 0.5, 6: -0.5 * phase, 9: -0.5, 12: 0.5 * phase}
+    psi = dict(zip(_SOURCE_SLOTS, (0.5, -0.5 * phase, -0.5, 0.5 * phase)))
     w = noise.white_noise_weight
 
     def expect(p: Word) -> float:

@@ -1,22 +1,26 @@
-"""The parties, the twelve local symbols, the six device settings and the
-nine perfect correlations, as plain tables, the readout table derived
-from them, and the tolerance ladder.
+"""The basis layout, the parties, the twelve local symbols, the six device
+settings and the nine perfect correlations, as plain tables, the readout
+table derived from them, and the tolerance ladder.
 
 This module imports nothing outside the standard library, so the
 local-realism certificate (lhv) and the Pauli-frame CLI path (_frame)
 load without numpy.  qstate, observables and lhv import these names from
 here, so each is one object whichever module it is read from.
 
-Each setting reads its two generators on its party's two readout bits,
-Alice's bits first.  The four bits (bit1_A, bit2_A, bit1_B, bit2_B) are
-the bits 8, 4, 2, 1 of an outcome index, bit +1 mapping to 0, as in
-qstate.INDEX_BITS.  A correlation's statistic is the product of its
-factors' bits: -1 exactly on the outcomes whose bits in its mask have
-odd parity, its odd bins.
+The basis layout is stated here alone, for the dense path (qstate,
+source) and the frame (_frame): the qubits (pol_A, path_A, pol_B,
+path_B), H = R = 0 and V = L = 1, sit on the weights 8, 4, 2, 1 of a
+basis index, and an outcome index puts the readout bits (bit1_A, bit2_A,
+bit1_B, bit2_B) on the same weights, bit +1 mapping to 0.  Each setting
+reads its two generators on its party's two readout bits, Alice's bits
+first.  A correlation's statistic is the product of its factors' bits:
+-1 exactly on the outcomes whose bits in its mask have odd parity, its
+odd bins.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,6 +34,23 @@ ATOL_INPUT = 1e-9
 class Party(Enum):
     ALICE = "Alice"
     BOB = "Bob"
+
+
+class Dof(Enum):
+    POL = "polarization"
+    PATH = "path"
+
+
+# the four qubits in tensor order and the weight of each in a basis index;
+# readout column i sits on the i-th weight of an outcome index
+_QUBITS = ((Party.ALICE, Dof.POL), (Party.ALICE, Dof.PATH), (Party.BOB, Dof.POL), (Party.BOB, Dof.PATH))
+_WEIGHTS = (8, 4, 2, 1)
+_QUBIT_WEIGHT = dict(zip(_QUBITS, _WEIGHTS))
+# the polarization and path masks, and row i the bits of index i in _QUBITS order
+_POL, _PATH = (sum(w for (_, d), w in _QUBIT_WEIGHT.items() if d is dof) for dof in (Dof.POL, Dof.PATH))
+_INDEX_BITS = tuple(tuple(i // w % 2 for w in _WEIGHTS) for i in range(16))
+# the indices of the source's kets |HRVL>, |HLVR>, |VRHL>, |VLHR>
+_SOURCE_SLOTS = tuple(sum(w for c, w in zip(ket, _WEIGHTS) if c in "VL") for ket in ("HRVL", "HLVR", "VRHL", "VLHR"))
 
 
 class Setting(Enum):
@@ -54,6 +75,22 @@ SYMBOLS: tuple[str, ...] = (
     "zBxB'",
     "xBzB'",
 )
+
+
+# each symbol's factors left to right, (pauli, qubit): a factor [zx][AB]'? is
+# that party's Pauli Z or X on polarization, or on path when primed
+_FACTORS = {
+    symbol: tuple((pauli, (Party.ALICE if party == "A" else Party.BOB, Dof.PATH if prime else Dof.POL))
+                  for pauli, party, prime in re.findall(r"([zx])([AB])('?)", symbol))
+    for symbol in SYMBOLS
+}
+
+
+def _factors(symbol: str) -> tuple[tuple[str, tuple[Party, Dof]], ...]:
+    """The parsed factors of one of the twelve SYMBOLS."""
+    if symbol not in _FACTORS:
+        raise KeyError(f"unknown observable symbol {symbol!r}")
+    return _FACTORS[symbol]
 
 
 # generator1, generator2, product for every (party, setting); a setting
@@ -106,7 +143,7 @@ CORRELATION_IDS: tuple[str, ...] = tuple(c.id for c in CORRELATIONS)
 CORRELATION_BY_ID: dict[str, Correlation] = {c.id: c for c in CORRELATIONS}
 
 
-# (party, generator symbol) -> (setting, readout column), column c being outcome-index bit 8 >> c
+# (party, generator symbol) -> (setting, readout column), column c on outcome-index weight _WEIGHTS[c]
 _READOUT: dict[tuple[Party, str], tuple[Setting, int]] = {
     (party, symbol): (setting, (0 if party is Party.ALICE else 2) + bit)
     for (party, setting), symbols in CONTEXT_SYMBOLS.items()
@@ -116,7 +153,7 @@ _READOUT: dict[tuple[Party, str], tuple[Setting, int]] = {
 
 def _index_bits(factors) -> int:
     """The outcome-index bits that read the given (party, generator symbol) factors."""
-    return sum(8 >> _READOUT[factor][1] for factor in factors)
+    return sum(_WEIGHTS[_READOUT[factor][1]] for factor in factors)
 
 
 def _setting_pair(corr: Correlation) -> tuple[Setting, Setting]:

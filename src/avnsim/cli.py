@@ -20,6 +20,7 @@ from typing import NamedTuple
 # every subcommand reads the numpy-free modules only: the Pauli frame, the
 # ported sampler, the records and tables, reference and lhv
 from . import _frame, _records, lhv, reference
+from ._tables import _INDEX_BITS
 
 DEFAULT_SEED = 0
 FORMATS = ("json", "csv", "text")
@@ -31,9 +32,7 @@ E_ROW_MODEL_TOLERANCE = 0.025
 # ---------------------------------------------------------------- serializers
 
 def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
+    if not math.isfinite(x):
         return "null"
     return format(x, ".17g")
 
@@ -94,8 +93,8 @@ BAR_WIDTH = 40
 
 
 def _bin_label(idx: int) -> str:
-    """Signs of the four bits of basis index idx, most significant first (qstate.INDEX_BITS)."""
-    return "".join("+-"[idx >> shift & 1] for shift in (3, 2, 1, 0))
+    """Signs of the four bits of basis index idx, most significant first (_tables' layout)."""
+    return "".join("+-"[bit] for bit in _INDEX_BITS[idx])
 
 
 def render_histogram(title: str, bins) -> list[str]:

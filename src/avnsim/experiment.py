@@ -4,10 +4,10 @@ Each setting reads its two generator symbols on the party's two readout
 bits.  The readout table of _tables records each symbol's setting and
 bit, and every correlation names generators only, so its setting pair
 and the outcomes where its statistic (the product of its factors' bits)
-is -1, its odd bins, are both read from there.  Joint outcomes are
-indexed like qstate.INDEX_BITS, bit +1 mapping to 0:
-
-    outcome index = 8*i(bit1_A) + 4*i(bit2_A) + 2*i(bit1_B) + i(bit2_B).
+is -1, its odd bins, are both read from there.  A joint outcome index
+places the readout bits (bit1_A, bit2_A, bit1_B, bit2_B) on the weights
+of the basis layout in _tables, bit +1 mapping to 0, so OUTCOME_BITS is
+read from qstate.INDEX_BITS.
 
 A run draws a Poisson number n of pairs per correlation and samples the
 16 outcome counts; _records scores the nine count rows, E = [C(+1) -

@@ -9,20 +9,19 @@ commuting generators that are read out together, plus their product.
 The symbol strings ("zA", "xA'", "zBxB'", ...) are the single naming
 scheme shared with the hidden-variable audit and the counting simulation,
 so constraint tables and event schemas line up everywhere: each local
-operator is built from its name.  The twelve SYMBOLS and the nine
-correlations that name them, the settings and each setting's symbols
-live in the numpy-free _tables module.
+operator is built from its name, parsed once in _tables.  The twelve
+SYMBOLS and the nine correlations that name them, the settings and each
+setting's symbols live in the numpy-free _tables module.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from ._tables import (  # re-exported: the plain tables live in the numpy-free _tables
+from ._tables import (  # the plain tables, re-exported, and the symbol parser live in the numpy-free _tables
     CONTEXT_SYMBOLS,
     CORRELATION_BY_ID,
     CORRELATION_IDS,
@@ -30,13 +29,13 @@ from ._tables import (  # re-exported: the plain tables live in the numpy-free _
     SYMBOLS,
     Correlation,
     Setting,
+    _factors,
 )
 from .qstate import (
     ATOL_ALGEBRA,
     ATOL_SPECTRAL,
     DIM,
     ConsistencyError,
-    Dof,
     Party,
     SubsystemSlot,
     PAULI_X,
@@ -51,23 +50,17 @@ from .qstate import (
 
 
 _PAULI = {"z": PAULI_Z, "x": PAULI_X}
-_PARTY = {"A": Party.ALICE, "B": Party.BOB}
 
 
 @lru_cache(maxsize=None)
 def local_observable(symbol: str) -> np.ndarray:
     """The 16x16 operator for one of the twelve SYMBOLS (read-only).
 
-    Each factor [zx][AB]'? is that party's Pauli Z or X on polarization, or
-    on path when primed, and the factors multiply left to right; the four
-    one-photon products are measured as single variables in setting c.
+    Each factor, parsed in _tables, is that party's Pauli Z or X on
+    polarization, or on path when primed, multiplied left to right; the
+    four one-photon products are single variables of setting c.
     """
-    if symbol not in SYMBOLS:
-        raise KeyError(f"unknown observable symbol {symbol!r}")
-    op = reduce(np.matmul, (
-        lift_local(_PAULI[pauli], SubsystemSlot(_PARTY[name], Dof.PATH if prime else Dof.POL))
-        for pauli, name, prime in re.findall(r"([zx])([AB])('?)", symbol)
-    ))
+    op = reduce(np.matmul, (lift_local(_PAULI[pauli], SubsystemSlot(*qubit)) for pauli, qubit in _factors(symbol)))
     op.setflags(write=False)
     return op
 

@@ -1,14 +1,11 @@
 """Exact linear algebra on the 16-dimensional two-photon Hilbert space.
 
 The space is pol_A (x) path_A (x) pol_B (x) path_B, each factor a qubit.
-Basis conventions are fixed once, globally: H=0 / V=1 for polarization,
-R=0 / L=1 for path, and the computational index is
-
-    index = 8*pol_A + 4*path_A + 2*pol_B + path_B
-
-so pol_A is the most significant bit.  Every other module (state
-construction, detection models, counting statistics) relies on this
-ordering; INDEX_BITS below is the one table of it.  Nothing here is
+Basis conventions are fixed once, globally, in the standard-library
+_tables, which states the computational index: H=0 / V=1 for
+polarization, R=0 / L=1 for path, pol_A the most significant bit.
+INDEX_BITS below is that layout as a read-only numpy table, and a
+slot's axis is its place in _tables' qubit order.  Nothing here is
 sparse or clever, the dimension is tiny and clarity wins.
 """
 
@@ -16,33 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from ._tables import ATOL_ALGEBRA, ATOL_INPUT, ATOL_SPECTRAL, Party
+from ._tables import _INDEX_BITS, _QUBITS, ATOL_ALGEBRA, ATOL_INPUT, ATOL_SPECTRAL, Dof, Party
 
 DIM = 16
 
 # row i holds the four bits of basis index i, columns (pol_A, path_A, pol_B, path_B)
-INDEX_BITS = (np.arange(DIM)[:, None] >> np.arange(3, -1, -1)) & 1
+INDEX_BITS = np.array(_INDEX_BITS)
 INDEX_BITS.setflags(write=False)
 
 class ConsistencyError(RuntimeError):
     """An internal numerical identity failed beyond tolerance."""
-
-
-class Dof(Enum):
-    POL = "polarization"
-    PATH = "path"
-
-
-_SLOT_AXES = {
-    (Party.ALICE, Dof.POL): 0,
-    (Party.ALICE, Dof.PATH): 1,
-    (Party.BOB, Dof.POL): 2,
-    (Party.BOB, Dof.PATH): 3,
-}
 
 
 @dataclass(frozen=True)
@@ -54,7 +37,7 @@ class SubsystemSlot:
 
     @property
     def axis(self) -> int:
-        return _SLOT_AXES[(self.party, self.dof)]
+        return _QUBITS.index((self.party, self.dof))
 
 
 # single-qubit kets in the fixed bases

@@ -28,12 +28,12 @@ import numpy as np
 
 from . import qstate
 from ._frame import FitResult, fit_noise  # re-exported: the fit reads the numpy-free frame
-from ._records import NoiseModel, SourceConfig, _canonical_phase, _config_block, _config_float
+from ._records import NoiseModel, SourceConfig
+from ._tables import _PATH, _POL, _QUBIT_WEIGHT, _SOURCE_SLOTS, Dof, Party
 from .observables import correlation_expectations
-from .qstate import ATOL_ALGEBRA, DIM, INDEX_BITS
+from .qstate import ATOL_ALGEBRA, DIM
 
-# |HRVL>, |HLVR>, |VRHL>, |VLHR> sit at indices 3, 6, 9 and 12
-_SLOTS = np.array([3, 6, 9, 12])
+_SLOTS = np.array(_SOURCE_SLOTS)
 _SLOTS.setflags(write=False)
 
 
@@ -52,20 +52,17 @@ def build_psi(config: SourceConfig | float | None = None) -> np.ndarray:
     return psi / qstate._norm(psi)
 
 
-def _mismatch(columns) -> np.ndarray:
-    """Number of the given index bits in which row index and column index differ."""
-    return (INDEX_BITS[:, None, columns] != INDEX_BITS[None, :, columns]).sum(axis=2)
-
-
-# per-photon dephasing masks: polarization bits (0, 2) and path bits (1, 3);
-# each entry, 0, 1 or 2, indexes a visibility's power table in apply_noise
-_POL_MISMATCH = _mismatch([0, 2])
-_PATH_MISMATCH = _mismatch([1, 3])
+# per-photon dephasing masks: the number of polarization bits, and of path
+# bits, in which row and column index differ; each entry, 0, 1 or 2, indexes
+# a visibility's power table in apply_noise
+_POL_MISMATCH, _PATH_MISMATCH = (
+    np.array([[((i ^ j) & mask).bit_count() for j in range(DIM)] for i in range(DIM)]) for mask in (_POL, _PATH)
+)
 _EXPONENTS = np.arange(3)
-# the white-noise state I/16 and Alice's path bit (index bit 1), complex as
-# the products they enter are, so that no call casts them
+# the white-noise state I/16 and Alice's path bit, complex as the products
+# they enter are, so that no call casts them
 _WHITE = np.eye(DIM, dtype=complex) / DIM
-_ALICE_PATH = INDEX_BITS[:, 1].astype(complex)
+_ALICE_PATH = np.array([i & _QUBIT_WEIGHT[Party.ALICE, Dof.PATH] != 0 for i in range(DIM)], dtype=complex)
 for _table in (_POL_MISMATCH, _PATH_MISMATCH, _EXPONENTS, _WHITE, _ALICE_PATH):
     _table.setflags(write=False)
 

@@ -1,9 +1,10 @@
-"""The committed simulate and reproduce-paper documents, reproduced through cli.main.
+"""The eleven committed documents of all four subcommands, reproduced through cli.main.
 
 The documents under tests/data were written by `python -m avnsim`.  The
 commands that print them run in the standard library alone (the Pauli
 frame and the port of numpy's sampler, with every float sum taken left to
-right), so they must match byte for byte on every platform.
+right), so they must match byte for byte on every platform.  This file
+imports no numpy, so CI runs it on an interpreter without numpy too.
 
 tests/data/documents.json is the wider corpus: one entry per command line,
 with the config it reads on stdin (`--config -`), the sha256 of what it
@@ -24,6 +25,11 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 _PAIR_RATE_2 = os.path.join(DATA, "pair_rate_2.config.json")
 DOCUMENTS = [
+    ("predict.json", ["predict", "--format", "json"]),
+    ("predict.csv", ["predict", "--format", "csv"]),
+    ("predict.txt", ["predict", "--format", "text"]),
+    ("lhv.json", ["lhv", "--format", "json"]),
+    ("lhv.txt", ["lhv", "--format", "text"]),
     ("simulate.json", ["simulate", "--seed", "0", "--format", "json"]),
     ("simulate.csv", ["simulate", "--seed", "0", "--format", "csv"]),
     ("simulate.txt", ["simulate", "--seed", "0", "--format", "text"]),

@@ -18,7 +18,7 @@ the dense table and numpy.
 import numpy as np
 import pytest
 
-from avnsim import _sampler, experiment, reference
+from avnsim import _records, _sampler, experiment, reference
 from avnsim.experiment import POISSON_LAM_MAX, Schedule, _born_stack, _probabilities, _stream
 from avnsim.observables import CORRELATIONS
 from avnsim.qstate import DIM
@@ -124,4 +124,4 @@ def test_multinomial_replay_of_the_dense_table_gives_run_schedules_report():
         bits = _sampler.Philox(5, idx)
         n = _sampler.poisson(bits, schedule.mean_counts(corr.id))
         counts = _sampler.multinomial(bits, n, _sampler.normalise(dist.tolist()))
-        assert experiment._estimate(corr.id, np.array(counts), n) == est
+        assert _records._estimate(corr.id, np.array(counts), n) == est
