@@ -5,8 +5,9 @@ run without numpy; experiment.run_schedule draws the same algorithms
 from numpy itself, and the tests hold each primitive to numpy's output:
 
 - Philox4x64-10 (Salmon et al. 2011), keyed (seed, stream index) from
-  counter 0 with an empty buffer, as experiment._stream sets numpy's
-  Philox.  The counter is incremented before each four-word block.
+  counter 0 with an empty buffer, as experiment._rekey sets numpy's
+  Philox before each stream.  The counter is incremented before each
+  four-word block.
 - a double is the top 53 bits of one word times 2^-53.
 - Poisson: the multiplication method below lam = 10, PTRS (Hoermann
   1993) from 10 up.
@@ -14,7 +15,8 @@ from numpy itself, and the tests hold each primitive to numpy's output:
   Schmeiser 1988) otherwise, each on min(p, 1 - p) with n - draw for
   p > 0.5.
 - multinomial: the chain of binomials on p_j / (1 - p_0 - ... - p_{j-1}),
-  after numpy's `dist / dist.sum()` (a pairwise sum of the 16 weights).
+  after numpy's normalisation, each row over the pairwise sum of its 16
+  weights (run_schedule divides its nine rows at once, to the same bits).
 
 The arithmetic follows numpy's C source operation by operation: the
 counts depend on the last bit of every probability and every draw.

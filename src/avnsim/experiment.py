@@ -13,9 +13,11 @@ A run draws a Poisson number n of pairs per correlation and samples the
 16 outcome counts; _records scores the nine count rows, E = [C(+1) -
 C(-1)]/n in exact integers with standard error sqrt((1 - E^2)/n).  Each
 correlation draws from its own Philox stream keyed by (seed, correlation
-index), one Philox per run re-keyed and wrapped in a new Generator for
-each, so reports are bit-reproducible in any order.  The nine Born rows
-are one contraction, and so are predict_exact's values and M row.
+index), so reports are bit-reproducible in any order.  A stream is named
+by its key alone, so each thread keeps one Generator on one Philox and
+re-keys it before each correlation.  The nine Born rows are one
+contraction, normalised by one division, and so are predict_exact's
+values and M row.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,22 +156,32 @@ class CountTable:
             raise ValueError("counts do not sum to total")
 
 
+# a stream's counter and buffer at its start: four zero words, shared by every re-key
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.setflags(write=False)
+
+
+def _rekey(bits: np.random.Philox, key: int, stream_index: int) -> None:
+    """Set bits to the start of the (key, stream index) stream: counter 0, empty buffer; key already checked."""
+    words = np.array([key, stream_index], np.uint64)
+    bits.state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": words},
+                  "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) -> np.random.Generator:
     """The (seed, stream index) Philox stream from its start, on bits re-keyed if given."""
     bits = np.random.Philox() if bits is None else bits
-    key = np.array([check_seed(seed), stream_index], dtype=np.uint64)
-    bits.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
-                  "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _rekey(bits, check_seed(seed), stream_index)
     return np.random.Generator(bits)
 
 
-def _multinomial(rng: np.random.Generator, dist: np.ndarray, n: int) -> list[int]:
-    """Counts of n events over the 16 outcomes, dist normalised; all 0 when n is 0."""
-    return rng.multinomial(n, dist / dist.sum()).tolist()
+# each thread's Generator for run_schedule, built on the thread's first run
+_THREAD = threading.local()
 
 
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
-    return CountTable(tuple(_multinomial(rng, dist, n)), int(n))
+    """Counts of n events over the 16 outcomes, dist normalised; all 0 when n is 0."""
+    return CountTable(tuple(rng.multinomial(n, dist / dist.sum()).tolist()), int(n))
 
 
 def sample_events(dist, n: int, seed: int) -> CountTable:
@@ -196,24 +209,37 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
     return _estimate(corr_id, [int(c) for c in table.counts], int(table.total))
 
 
+def _born_table(rho: np.ndarray) -> np.ndarray:
+    """The nine outcome distributions of rho in CORRELATIONS order: one contraction with the
+    stacked projectors, checked as one table and normalised by one division, each row as d / d.sum()."""
+    dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
+    dists = dists / dists.sum(axis=1, keepdims=True)
+    if not np.isfinite(dists).all():  # NaN passes every comparison in _probabilities
+        raise ValueError("outcome probabilities are not finite")
+    return dists
+
+
 def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentReport:
     """Sample all nine correlations and aggregate the Bell statistics.
 
     Event counts are Poisson around rate*duration; each correlation uses
-    its own (seed, index) Philox stream, one Philox re-keyed to each, so
-    identical inputs give bit-identical reports regardless of evaluation
-    order.  A correlation that draws no events reports E and stderr as
-    NaN, and so do the Bell value, its stderr and sigma (any row) and the
-    M fidelity and histogram (the M row).  The nine outcome distributions
-    are one contraction with the stacked projectors, checked as one table
-    before any draw.
+    its own (seed, index) Philox stream, drawn by this thread's one
+    Generator re-keyed to it, so identical inputs give bit-identical
+    reports regardless of evaluation order or thread.  A correlation that
+    draws no events reports E and stderr as NaN, and so do the Bell
+    value, its stderr and sigma (any row) and the M fidelity and histogram
+    (the M row).  The state is checked, then the seed, before any draw.
     """
-    dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
-    bits = np.random.Philox()
+    dists = _born_table(rho)
+    key = check_seed(seed)
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    bits = rng.bit_generator
     rows = []
     for idx, (corr, dist) in enumerate(zip(CORRELATIONS, dists)):
-        rng = _stream(seed, idx, bits)
-        rows.append(_multinomial(rng, dist, rng.poisson(schedule.mean_counts(corr.id))))
+        _rekey(bits, key, idx)
+        rows.append(rng.multinomial(rng.poisson(schedule.mean_counts(corr.id)), dist).tolist())
     return _sampled_report(rows, schedule, seed)
 
 

@@ -37,7 +37,7 @@ from avnsim.observables import (
 )
 from avnsim.qstate import DIM, ConsistencyError, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
-from avnsim import _frame, reference
+from avnsim import _frame, experiment, reference
 
 PSI = build_psi(0.0)
 RHO_IDEAL = np.outer(PSI, PSI.conj())
@@ -635,6 +635,22 @@ def test_predict_exact_passes_a_non_finite_state_through_as_nan(rho):
     report = predict_exact(rho)
     values = [est.E for est in report.estimates] + [report.bell_value, report.m_fidelity, *report.m_histogram]
     assert all(math.isnan(v) for v in values)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.full((DIM, DIM), math.nan), _with_entries({(i, i): math.inf for i in range(DIM)})],
+    ids=["all_nan", "inf_diagonal"],
+)
+def test_run_schedule_rejects_a_non_finite_state_before_any_draw(rho):
+    # NaN fails no comparison in _probabilities, so numpy's multinomial would reject the row
+    with mock.patch.object(experiment, "_rekey", wraps=experiment._rekey) as rekey:
+        with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
+            run_schedule(rho, Schedule(), 0)
+        # the state is checked before the seed
+        with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
+            run_schedule(rho, Schedule(), 2**64)
+    rekey.assert_not_called()
 
 
 def test_predict_exact_checks_an_m_row_with_a_nan_bin_as_numpy_does():

@@ -1,12 +1,25 @@
 import math
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avnsim import _frame, experiment
-from avnsim.experiment import Schedule, _born_stack, _exact_stack, _joint_projectors, _stream, context_pair, sample_events
+from avnsim import _frame, _sampler, experiment
+from avnsim.experiment import (
+    Schedule,
+    _born_stack,
+    _born_table,
+    _exact_stack,
+    _joint_projectors,
+    _probabilities,
+    _stream,
+    context_pair,
+    sample_events,
+)
 from avnsim.observables import CORRELATIONS, bell_operator, correlation_operators
 from avnsim.qstate import DIM
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
@@ -113,3 +126,72 @@ def test_the_stacked_born_table_equals_the_per_pair_rows_bit_for_bit(parts, phi,
         rows = np.array([np.einsum("oij,ji->o", _joint_projectors(p.alice, p.bob), rho) for p in pairs])
         assert table.shape == rows.shape
         assert table.tobytes() == rows.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=_AMPLITUDES, phi=_ANGLE, w=_UNIT, vp=_UNIT, vq=_UNIT, delta=_ANGLE)
+def test_the_one_division_normalises_each_row_as_its_own_division_and_the_port_do(parts, phi, w, vp, vq, delta):
+    # run_schedule draws from _born_table and _frame.simulate from _sampler.normalise:
+    # the two count alike only if both normalise a row to the same bits
+    psi = np.array(parts[:DIM]) + 1j * np.array(parts[DIM:])
+    model = NoiseModel(w, vp, vq, delta)
+    for state in (psi / np.linalg.norm(psi), build_psi(SourceConfig(phi))):
+        rho = apply_noise(state, model)
+        table = _born_table(rho)
+        checked = _probabilities(np.einsum("koij,ji->ko", _born_stack(), rho))
+        for row, dist in zip(table, checked):
+            assert row.tobytes() == (dist / dist.sum()).tobytes()
+            assert row.tolist() == _sampler.normalise(dist.tolist())
+
+
+_THREAD_SEEDS = [[4 * k + t for k in range(5)] for t in range(4)]
+
+
+def _run(seed):
+    return repr(SAMPLERS["run_schedule"](seed))
+
+
+def test_each_thread_draws_the_reports_of_a_sequential_run():
+    want = [[_run(seed) for seed in seeds] for seeds in _THREAD_SEEDS]
+    got = [None] * len(_THREAD_SEEDS)
+    start = threading.Barrier(len(_THREAD_SEEDS), timeout=60)
+
+    def work(t):
+        start.wait()
+        got[t] = [_run(seed) for seed in _THREAD_SEEDS[t]]
+
+    rekey = experiment._rekey
+
+    def rekey_and_yield(*args):
+        # hand the interpreter to another thread between a re-key and its draws,
+        # where a generator shared by the threads would draw another run's stream
+        rekey(*args)
+        time.sleep(0)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(_THREAD_SEEDS))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(experiment, "_rekey", rekey_and_yield):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+
+
+def test_a_run_after_the_threads_generator_was_left_mid_stream_equals_a_fresh_run():
+    fresh = {}
+    # a new thread builds its generator on this run
+    thread = threading.Thread(target=lambda: fresh.update(report=_run(7)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    _run(7)  # builds this thread's generator if no test has
+    rng = experiment._THREAD.rng
+    rng.binomial(1000, 0.3)  # a binomial set-up for another (n, p)
+    _dirty(rng.bit_generator)
+    assert _run(7) == fresh["report"]
