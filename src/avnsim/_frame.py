@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from functools import reduce
-from typing import NamedTuple
 
 from . import _sampler
 from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _sampled_report
@@ -140,10 +140,7 @@ def simulate(source: SourceConfig, noise: NoiseModel, schedule: Schedule, seed: 
     return _sampled_report(rows, schedule, seed)
 
 
-class FitResult(NamedTuple):
-    model: NoiseModel
-    residual: float
-    degenerate: bool = False
+FitResult = namedtuple("FitResult", "model residual degenerate", defaults=(False,))
 
 
 # the fit stops once no variable moves by more than _FIT_TOL in a step

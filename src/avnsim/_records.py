@@ -13,9 +13,8 @@ module it is read from.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
 
 from ._tables import _ODD_BINS, ATOL_SPECTRAL, CORRELATION_BY_ID, CORRELATIONS
 
@@ -128,18 +127,16 @@ class NoiseModel(_Checked, namedtuple("NoiseModel", "white_noise_weight pol_visi
 def check_seed(seed: int) -> int:
     """The seed as an int; reject a non-integer (a bool or a float would alias
     another seed's stream) and a seed the 64-bit Philox key cannot hold."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r:.40}")
+    if type(seed) is not int:
+        import numbers  # only a seed of another type, such as a numpy integer, needs the ABCs
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r:.40}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     return int(seed)
 
 
-class CorrelationEstimate(NamedTuple):
-    id: str
-    E: float
-    stderr: float
-    n: int
+CorrelationEstimate = namedtuple("CorrelationEstimate", "id E stderr n")
 
 
 class Schedule(_Checked, namedtuple("Schedule", "pair_rate duration overrides")):
@@ -202,16 +199,9 @@ class Schedule(_Checked, namedtuple("Schedule", "pair_rate duration overrides"))
         return cls(pair_rate=rate, duration=duration, overrides=overrides)
 
 
-class ExperimentReport(NamedTuple):
-    estimates: tuple[CorrelationEstimate, ...]
-    bell_value: float
-    bell_stderr: float
-    sigma_violation: float
-    m_fidelity: float
-    m_histogram: tuple[float, ...]
-    # both None for an exact report; to_dict derives the mode from them
-    seed: int | None
-    schedule: Schedule | None
+# seed and schedule are both None for an exact report; to_dict derives the mode from them
+class ExperimentReport(namedtuple("ExperimentReport", "estimates bell_value bell_stderr sigma_violation m_fidelity m_histogram seed schedule")):
+    __slots__ = ()
 
     def estimate(self, corr_id: str) -> CorrelationEstimate:
         for est in self.estimates:

@@ -21,8 +21,8 @@ odd bins.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 
 # tolerance ladder: algebraic identities vs derived spectral checks
@@ -105,17 +105,9 @@ CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
 }
 
 
-class Correlation(NamedTuple):
-    """One of the nine perfect-correlation relations.
-
-    sign is the predicted eigenvalue of the operator product on the ideal
-    state; factors lists the locally measured symbols whose readout bits
-    multiply to the correlation statistic.
-    """
-
-    id: str
-    sign: int
-    factors: tuple[tuple[Party, str], ...]
+# one of the nine perfect-correlation relations: sign is the predicted eigenvalue of the operator
+# product on the ideal state, factors the local (party, symbol) readouts whose bits multiply to its statistic
+Correlation = namedtuple("Correlation", "id sign factors")
 
 
 CORRELATIONS: tuple[Correlation, ...] = (

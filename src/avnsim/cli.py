@@ -9,13 +9,12 @@ or configuration error.
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import math
-import numbers
+import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 # every subcommand reads the numpy-free modules only: the Pauli frame, the
 # ported sampler, the records and tables, reference and lhv
@@ -64,6 +63,7 @@ def to_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
+    import numbers  # only a value of another type, such as a numpy scalar, needs the ABCs
     if isinstance(obj, numbers.Integral):
         return str(int(obj))
     if isinstance(obj, numbers.Real):
@@ -131,12 +131,7 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
 
 # -------------------------------------------------------------- configuration
 
-class RunConfig(NamedTuple):
-    source: _records.SourceConfig
-    noise: _records.NoiseModel
-    schedule: _records.Schedule
-    seed: int
-    output_format: str
+RunConfig = namedtuple("RunConfig", "source noise schedule seed output_format")
 
 
 def load_config(path: str | None) -> dict:
@@ -156,7 +151,7 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
-def build_run_config(raw: dict, args: argparse.Namespace) -> RunConfig:
+def build_run_config(raw: dict, args: dict) -> RunConfig:
     known = {"source", "noise", "schedule", "seed", "output_format"}
     unknown = set(raw) - known
     if unknown:
@@ -164,12 +159,12 @@ def build_run_config(raw: dict, args: argparse.Namespace) -> RunConfig:
     seed = raw.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError("seed must be an integer")
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
+    if args["seed"] is not None:
+        seed = args["seed"]
     _records.check_seed(seed)
     output_format = raw.get("output_format", "json")
-    if getattr(args, "format", None) is not None:
-        output_format = args.format
+    if args["format"] is not None:
+        output_format = args["format"]
     if output_format not in FORMATS:
         raise ValueError(f"output_format must be one of {FORMATS}")
     return RunConfig(
@@ -342,28 +337,63 @@ def cmd_reproduce_paper(seed: int, output_format: str) -> tuple[str, int]:
 
 # --------------------------------------------------------------------- main
 
-def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
-    if config:
-        parser.add_argument("--config", default=None, help="JSON config file path, or - for stdin")
-        parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--format", choices=FORMATS, default=None, help="output format")
-    parser.add_argument("--out", default=None, help="write the document to this path")
+# the grammar: one line per command and its options, each option taking one value
+USAGE = """\
+avnsim predict          [--config PATH] [--seed N] [--format json|csv|text] [--out PATH]
+avnsim simulate         [--config PATH] [--seed N] [--format json|csv|text] [--out PATH]
+avnsim lhv              [--format json|text] [--out PATH]
+avnsim reproduce-paper  [--seed N] [--format json|text] [--out PATH]
+"""
+_OPTIONS = {line.split()[1]: [w[1:] for w in line.split() if w.startswith("[--")] + ["--help"] for line in USAGE.splitlines()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="avnsim",
-        description="Two-photon all-versus-nothing test: predictions, hidden-variable audit, counting simulation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("predict", help="exact quantum predictions for the configured source"))
-    _add_common(sub.add_parser("simulate", help="Monte Carlo coincidence counting run"))
-    lhv_p = sub.add_parser("lhv", help="exhaustive local-hidden-variable certificate")
-    _add_common(lhv_p, config=False)
-    rep = sub.add_parser("reproduce-paper", help="side-by-side comparison with the published values")
-    rep.add_argument("--seed", type=int, default=None, help="simulation seed (default 0)")
-    _add_common(rep, config=False)
-    return parser
+def _help():
+    sys.stdout.write(USAGE)
+    raise SystemExit(0)
+
+
+def _usage_error(message: str, command: str | None = None):
+    lines = [line for line in USAGE.splitlines() if command in (None, line.split()[1])]
+    sys.stderr.write("usage: " + "\n       ".join(lines) + f"\navnsim: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_args(argv: list[str]) -> dict:
+    """The command and its options, by argparse's rules: -h prints USAGE and exits 0, a usage error exits 2.
+
+    An option is given as --opt VALUE or --opt=VALUE, or by a unique prefix,
+    and its last occurrence wins.  A following token that starts with - is
+    a value only when it is - (stdin) or a negative number.
+    """
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _OPTIONS:
+        _usage_error("missing command" if command is None else f"unknown command {command!r}")
+    args = {"command": command, "config": None, "seed": None, "format": None, "out": None}
+    for token in tokens:
+        name, eq, value = ("--help" if token == "-h" else token).partition("=")
+        # a prefix of every option ("-", "--") or of none is not an option
+        matches = [option for option in _OPTIONS[command] if option.startswith(name)]
+        if len(matches) != 1:
+            _usage_error(f"unrecognized arguments: {token}", command)
+        option = matches[0]
+        if option == "--help":
+            _help()
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not re.fullmatch(r"-(\d+|\d*\.\d+)?", value):
+                _usage_error(f"argument {option}: expected one argument", command)
+        if option == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument --seed: invalid int value: {value!r}", command)
+        elif option == "--format" and value not in FORMATS:
+            _usage_error(f"argument --format: invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})", command)
+        args[option[2:]] = value
+    return args
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -375,25 +405,24 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command in ("predict", "simulate"):
-            config = build_run_config(load_config(args.config), args)
-            payload, code = (cmd_predict if args.command == "predict" else cmd_simulate)(config)
-        elif args.command == "lhv":
-            fmt = args.format or "json"
+        if args["command"] in ("predict", "simulate"):
+            config = build_run_config(load_config(args["config"]), args)
+            payload, code = (cmd_predict if args["command"] == "predict" else cmd_simulate)(config)
+        elif args["command"] == "lhv":
+            fmt = args["format"] or "json"
             if fmt == "csv":
                 raise ValueError("the lhv certificate has no CSV form; use json or text")
             payload, code = cmd_lhv(fmt)
         else:
-            fmt = args.format or "json"
+            fmt = args["format"] or "json"
             if fmt == "csv":
                 raise ValueError("the comparison document has no CSV form; use json or text")
-            seed = _records.check_seed(args.seed if args.seed is not None else DEFAULT_SEED)
+            seed = _records.check_seed(args["seed"] if args["seed"] is not None else DEFAULT_SEED)
             payload, code = cmd_reproduce_paper(seed, fmt)
-        _emit(payload, args.out)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        _emit(payload, args["out"])
+    except (ValueError, KeyError, OSError) as exc:
         print(f"avnsim: error: {exc}", file=sys.stderr)
         return 2
     return code

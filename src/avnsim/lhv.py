@@ -23,8 +23,8 @@ point touches the certificate, and the module does not import numpy.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterator, Sequence
 
 from ._tables import CORRELATION_IDS, CORRELATIONS, SYMBOLS, _index_bits
 
@@ -33,10 +33,7 @@ _SYMBOL_INDEX = {s: i for i, s in enumerate(SYMBOLS)}
 Assignment = tuple[int, ...]
 
 
-class Constraint(NamedTuple):
-    index: int
-    symbols: tuple[str, ...]
-    required: int
+Constraint = namedtuple("Constraint", "index symbols required")
 
 
 # constraint k demands that correlation k's factors multiply to its sign
@@ -119,9 +116,7 @@ def _constraint_product(assignment: Assignment, constraint: Constraint) -> int:
     return p
 
 
-class ConstraintReport(NamedTuple):
-    satisfied: tuple[bool, ...]
-    satisfied_count: int
+ConstraintReport = namedtuple("ConstraintReport", "satisfied satisfied_count")
 
 
 def check_constraints(assignment: Assignment, constraints: Sequence[Constraint] = CONSTRAINTS) -> ConstraintReport:
@@ -134,17 +129,17 @@ def bell_quantity(assignment: Assignment, constraints: Sequence[Constraint] = CO
     return sum(c.required * _constraint_product(assignment, c) for c in constraints)
 
 
-class AvnAudit(NamedTuple):
-    all_nine_count: int
-    max_satisfied: int
-    assignments_at_max: int
-    histogram: tuple[int, ...]  # indexed by satisfied_count
+AvnAudit = namedtuple("AvnAudit", "all_nine_count max_satisfied assignments_at_max histogram")  # histogram by satisfied_count
 
 
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
-    n = len(constraints)
-    sizes = Counter(map(int.bit_count, _violations(constraints)))
+    return _audit(_violations(constraints), len(constraints))
+
+
+def _audit(rows: list[int], n: int) -> AvnAudit:
+    """avn_audit of a system of n constraints from its violated-set table."""
+    sizes = Counter(map(int.bit_count, rows))
     histogram = [sizes[n - k] for k in range(n + 1)]
     max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
     return AvnAudit(
@@ -155,16 +150,17 @@ def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     )
 
 
-class LrBound(NamedTuple):
-    max_value: int
-    min_value: int
-    argmax_assignments: tuple[Assignment, ...]
+LrBound = namedtuple("LrBound", "max_value min_value argmax_assignments")
 
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    n = len(constraints)
-    sizes = list(map(int.bit_count, _violations(constraints)))
+    return _bound(_violations(constraints), len(constraints))
+
+
+def _bound(rows: list[int], n: int) -> LrBound:
+    """lr_bound of a system of n constraints from its violated-set table."""
+    sizes = list(map(int.bit_count, rows))
     fewest = min(sizes)
     argmax = tuple(_assignment(row) for row, size in enumerate(sizes) if size == fewest)
     return LrBound(max_value=n - 2 * fewest, min_value=n - 2 * max(sizes), argmax_assignments=argmax)
@@ -190,8 +186,11 @@ def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
 
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:
     """Assignments reproducing the eight non-M perfect correlations: no violation but M's."""
+    return _non_m(_violations(CONSTRAINTS))
+
+
+def _non_m(rows: list[int]) -> tuple[Assignment, ...]:
     others = ~(1 << _M)
-    rows = _violations(CONSTRAINTS)
     return tuple(_assignment(row) for row, violated in enumerate(rows) if not violated & others)
 
 
@@ -204,7 +203,11 @@ def lr_m_histogram() -> tuple[float, ...]:
     symbols valued -1.  The support sits entirely on even-product
     outcomes, the exact complement of the quantum prediction.
     """
-    admissible = non_m_satisfying_assignments()
+    return _m_histogram(_violations(CONSTRAINTS))
+
+
+def _m_histogram(rows: list[int]) -> tuple[float, ...]:
+    admissible = _non_m(rows)
     counts = [0] * 16
     for a in admissible:
         counts[_index_bits(f for f in CORRELATIONS[_M].factors if value_of(a, f[1]) < 0)] += 1
@@ -213,8 +216,10 @@ def lr_m_histogram() -> tuple[float, ...]:
 
 def certificate() -> dict:
     """Machine-readable contradiction certificate for the CLI."""
-    audit = avn_audit()
-    bound = lr_bound()
+    # one violated-set table for the audit, the bound and the M histogram
+    rows = _violations(CONSTRAINTS)
+    audit = _audit(rows, len(CONSTRAINTS))
+    bound = _bound(rows, len(CONSTRAINTS))
     witness = parity_witness()
     # recomputed symbol by symbol, not read from the violated-set table, on
     # each published maximiser: Bell = 2k - 9 = the bound
@@ -246,7 +251,7 @@ def certificate() -> dict:
             "argmax_assignments": [list(a) for a in bound.argmax_assignments],
         },
         "parity_witness": witness,
-        "lr_m_histogram": list(lr_m_histogram()),
+        "lr_m_histogram": list(_m_histogram(rows)),
         "checks": checks,
         "ok": all(checks.values()),
     }
