@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 from functools import reduce
 
 from . import _sampler
-from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _sampled_report
+from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _left_sum, _sampled_report
 from ._tables import ATOL_ALGEBRA, CONTEXT_SYMBOLS, CORRELATIONS, Party, _factors, _setting_pair
 from ._tables import _PATH, _POL, _QUBIT_WEIGHT, _SOURCE_SLOTS, _WEIGHTS  # the basis layout
 
@@ -44,6 +45,8 @@ Word = tuple[int, int, int]
 IDENTITY: Word = (0, 0, 0)
 _I_POWER = (1, 1j, -1, -1j)
 _BINS = 16
+# _BIN_SIGNS[b][m] = (-1)^|m & b|, the sign of subset m's expectation in bin b
+_BIN_SIGNS = tuple(tuple(-1.0 if (m & b).bit_count() % 2 else 1.0 for m in range(_BINS)) for b in range(_BINS))
 
 
 def compose(p: Word, q: Word) -> Word:
@@ -83,10 +86,7 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
 
     def expect(p: Word) -> float:
         x, z, k = p
-        # summed in a loop, so a later interpreter's compensated sum() cannot move the last bit
-        pure = 0
-        for b, amp in psi.items():
-            pure += psi.get(b ^ x, 0.0).conjugate() * amp * (-1) ** (z & b).bit_count()
+        pure = _left_sum([psi.get(b ^ x, 0.0).conjugate() * amp * (-1) ** (z & b).bit_count() for b, amp in psi.items()])
         damp = (1.0 - w) * noise.pol_visibility ** (x & _POL).bit_count() * noise.path_visibility ** (x & _PATH).bit_count()
         return damp * (_I_POWER[k] * pure).real + (w * _I_POWER[k].real if x == z == 0 else 0.0)
 
@@ -94,23 +94,12 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
 
 
 def _born_rows(expect, rows) -> list[list[float]]:
-    """The checked, clipped 16-bin Born rows of the given correlation indices.
-
-    Each bin is summed left to right, as the sum() of Python 3.11 and
-    earlier does; later sum()s compensate round-off, and one ulp moves the
-    draws.  _records._distributions checks them, summed by math.fsum, and clips them.
-    """
+    """The 16-bin Born rows of the given correlation indices, checked and clipped by _records._distributions."""
     table = []
     for k in rows:
         subsets = [expect(p) for p in _ROW_SUBSET_WORDS[k]]
-        row = []
-        for b in range(_BINS):
-            acc = 0.0
-            for mask, e in enumerate(subsets):
-                acc = acc - e if (mask & b).bit_count() % 2 else acc + e
-            row.append(acc / 16)
-        table.append(row)
-    return _distributions(table, math.fsum)
+        table.append([_left_sum(map(operator.mul, signs, subsets)) / 16 for signs in _BIN_SIGNS])
+    return _distributions(table)
 
 
 def born_rows(source: SourceConfig, noise: NoiseModel) -> list[list[float]]:
@@ -122,9 +111,7 @@ def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
     """predict_exact(apply_noise(build_psi(source), noise)) in closed form, equal to rounding."""
     expect = _expectation(source, noise)
     values = [expect(p) for p in _CORRELATION_WORDS]
-    bell = 0.0
-    for corr, e in zip(CORRELATIONS, values):
-        bell += corr.sign * e
+    bell = _left_sum([corr.sign * e for corr, e in zip(CORRELATIONS, values)])
     (hist,) = _born_rows(expect, [len(CORRELATIONS) - 1])
     return _exact_report(values, bell, hist)
 
@@ -193,7 +180,5 @@ def fit_noise(targets) -> FitResult:
         model = NoiseModel(white_noise_weight=1.0)
     else:
         model = NoiseModel(1.0 - s, math.sqrt(a), math.sqrt(abs(b)), 0.0 if b >= 0.0 else math.pi)
-    residual = 0.0
-    for est, t in zip(predict(SourceConfig(), model).estimates, targets[:8]):
-        residual += (est.E - t) * (est.E - t)
+    residual = _left_sum([(est.E - t) * (est.E - t) for est, t in zip(predict(SourceConfig(), model).estimates, targets[:8])])
     return FitResult(model=model, residual=residual, degenerate=degenerate)

@@ -80,7 +80,7 @@ class SourceConfig(_Checked, namedtuple("SourceConfig", "phi")):
         return super().__new__(cls, _canonical_phase(phi, "source.phi"))
 
     def to_dict(self) -> dict:
-        return {"phi": self.phi}
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "SourceConfig":
@@ -111,12 +111,7 @@ class NoiseModel(_Checked, namedtuple("NoiseModel", "white_noise_weight pol_visi
         return super().__new__(cls, *weights, _canonical_phase(float(phase_offset), "noise.phase_offset"))
 
     def to_dict(self) -> dict:
-        return {
-            "white_noise_weight": self.white_noise_weight,
-            "pol_visibility": self.pol_visibility,
-            "path_visibility": self.path_visibility,
-            "phase_offset": self.phase_offset,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -233,13 +228,25 @@ class ExperimentReport(namedtuple("ExperimentReport", "estimates bell_value bell
         return doc
 
 
-def _odd_sum(corr_id: str, row):
-    """A 16-bin row summed over the correlation's odd bins: exact on counts, and left to
-    right on probabilities, since sum() compensates float round-off from Python 3.12 on."""
+def _left_sum(values):
+    """values added left to right from 0, as builtin sum() adds them through Python 3.11.
+
+    From 3.12 on, sum() compensates float round-off (Neumaier 1974), and one
+    ulp of a Born bin moves the draws, so every float sum behind a document
+    runs through here: the documents are then the same bytes on every Python.
+    ints stay exact ints, and +inf with -inf gives NaN, as in sum(), where
+    math.fsum raises.  The loop is reduce(operator.add, values, 0), and
+    faster on the short rows it adds.
+    """
     total = 0
-    for b in _ODD_BINS[corr_id]:
-        total += row[b]
+    for v in values:
+        total += v
     return total
+
+
+def _odd_sum(corr_id: str, row):
+    """A 16-bin row summed over the correlation's odd bins, exact on counts."""
+    return _left_sum([row[b] for b in _ODD_BINS[corr_id]])
 
 
 def _estimate(corr_id: str, counts, n: int) -> CorrelationEstimate:
@@ -253,11 +260,9 @@ def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
 
     A row that counted no events reports E and stderr as NaN, and so do
     the Bell value, its stderr and sigma (any such row) and the M fidelity
-    and histogram (the M row): null in the documents.  The Bell sums run
-    left to right, as _odd_sum does.
+    and histogram (the M row): null in the documents.
     """
     estimates = []
-    bell = var = 0.0
     m_fidelity, m_histogram = math.nan, (math.nan,) * 16
     for corr, counts in zip(CORRELATIONS, rows):
         n = sum(counts)
@@ -269,9 +274,8 @@ def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
                 m_fidelity = _odd_sum("M", counts) / n
                 m_histogram = tuple(c / n for c in counts)
         estimates.append(est)
-        bell += corr.sign * est.E
-        var += est.stderr ** 2
-    stderr = math.sqrt(var)
+    bell = _left_sum([corr.sign * est.E for corr, est in zip(CORRELATIONS, estimates)])
+    stderr = math.sqrt(_left_sum([est.stderr ** 2 for est in estimates]))
     sigma = _sigma_violation(bell, stderr)
     return ExperimentReport(tuple(estimates), bell, stderr, sigma, m_fidelity, m_histogram, seed, schedule)
 
@@ -281,12 +285,12 @@ def _peak(values: list[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
-def _distributions(table, total=sum) -> list[list[float]]:
-    """16-bin rows checked, each summed by total, and clipped at 0 as experiment._probabilities does a numpy table."""
+def _distributions(table) -> list[list[float]]:
+    """16-bin rows checked and clipped at 0 as experiment._probabilities does a numpy table."""
     low = -_peak([-p for row in table for p in row])
     if low < -ATOL_SPECTRAL:
         raise ValueError(f"negative outcome probability {low:.3e}")
-    if _peak([abs(total(row) - 1.0) for row in table]) > ATOL_SPECTRAL:
+    if _peak([abs(_left_sum(row) - 1.0) for row in table]) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities do not sum to 1")
     return [[0.0 if p <= 0.0 else p for p in row] for row in table]
 

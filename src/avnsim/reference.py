@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 
 from ._frame import FitResult, fit_noise
-from ._records import Schedule
+from ._records import Schedule, _left_sum
 from ._tables import CORRELATION_IDS
 
 # measured correlation values (E, standard error), canonical non-M order
@@ -48,7 +48,7 @@ def measured_targets() -> tuple[float, ...]:
 
 
 def non_m_magnitude_sum() -> float:
-    return sum(abs(e) for e, _ in MEASURED_CORRELATIONS.values())
+    return _left_sum([abs(e) for e, _ in MEASURED_CORRELATIONS.values()])
 
 
 def derived_m_value() -> float:
@@ -58,7 +58,7 @@ def derived_m_value() -> float:
 
 def derived_m_stderr() -> float:
     """Standard error of the M row implied by quadrature error combination."""
-    var = BELL_STDERR ** 2 - sum(de ** 2 for _, de in MEASURED_CORRELATIONS.values())
+    var = BELL_STDERR ** 2 - _left_sum([de ** 2 for _, de in MEASURED_CORRELATIONS.values()])
     return math.sqrt(var)
 
 

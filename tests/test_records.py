@@ -2,7 +2,8 @@
 
 Each checks and canonicalises its fields when built, with fixed messages,
 and has a fixed repr, value equality and hashing; being a tuple, it also
-iterates and equals the plain tuple of its fields.
+iterates and equals the plain tuple of its fields.  _left_sum, the one
+float sum behind the documents, adds left to right on every Python.
 """
 
 import copy
@@ -13,7 +14,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avnsim._records import NoiseModel, Schedule, SourceConfig
+from avnsim._records import NoiseModel, Schedule, SourceConfig, _left_sum
 
 EDGE_PHASE = math.nextafter(-math.pi, -math.inf)
 
@@ -119,6 +120,33 @@ def test_records_are_tuples_of_their_fields():
     assert hash(SourceConfig(0.5)) == hash((0.5,))
     pair_rate, duration, overrides = Schedule()
     assert (pair_rate, duration, overrides) == (32000.0, 1.0, {})
+
+
+def test_to_dict_names_the_fields_in_order():
+    assert SourceConfig(0.5).to_dict() == {"phi": 0.5}
+    noise = NoiseModel(0.1, 0.9, 0.8, -1.2).to_dict()
+    assert type(noise) is dict
+    assert list(noise.items()) == [
+        ("white_noise_weight", 0.1), ("pol_visibility", 0.9), ("path_visibility", 0.8), ("phase_offset", -1.2)
+    ]
+
+
+def test_left_sum_keeps_integers_above_2_to_53_exact():
+    total = _left_sum([2**53, 1, 1])
+    assert type(total) is int and total == 2**53 + 2
+
+
+def test_left_sum_of_negative_zero_is_positive_zero():
+    assert math.copysign(1.0, _left_sum([-0.0])) == 1.0
+
+
+def test_left_sum_of_opposite_infinities_is_nan():
+    assert math.isnan(_left_sum([math.inf, -math.inf]))
+
+
+def test_left_sum_adds_left_to_right_without_compensation():
+    assert _left_sum([1e16, 1.0, 1.0]) == 1e16
+    assert math.fsum([1e16, 1.0, 1.0]) == 1.0000000000000002e16
 
 
 def _near(x, steps=64):
