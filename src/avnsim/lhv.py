@@ -9,12 +9,13 @@ the nine perfect quantum correlations forces nine multiplicative
 constraints on the twelve values, read from the nine CORRELATIONS
 (factor symbols and predicted sign).  This module records, for each of
 the 2^12 assignments, the set of constraints it violates, as one table
-of bit sets, and certifies that the system is contradictory by a GF(2)
-rank test (every symbol appears an even number of times across the nine
-left-hand sides, so their product is +1, while the required signs
-multiply to -1: no assignment meets all nine, so no set is empty).  An
-assignment violating |V| of n constraints meets k = n - |V| of them and
-scores n - 2|V| on the Bell quantity.
+of bit sets per constraint system, built once and read by the audit,
+the bound and the LR histogram alike.  It certifies that the system is
+contradictory by a GF(2) rank test (every symbol appears an even number
+of times across the nine left-hand sides, so their product is +1, while
+the required signs multiply to -1: no assignment meets all nine, so no
+set is empty).  An assignment violating |V| of n constraints meets
+k = n - |V| of them and scores n - 2|V| on the Bell quantity.
 
 Everything here is exact integer arithmetic in plain Python; no floating
 point touches the certificate, and the module does not import numpy.
@@ -22,6 +23,7 @@ point touches the certificate, and the module does not import numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Sequence
@@ -46,6 +48,8 @@ _M = CORRELATION_IDS.index("M")
 
 def with_flipped_sign(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -> tuple[Constraint, ...]:
     """The same system with constraint k's required sign negated."""
+    if all(c.index != k for c in constraints):
+        raise ValueError(f"no constraint has index {k}")
     return tuple(
         Constraint(c.index, c.symbols, -c.required) if c.index == k else c for c in constraints
     )
@@ -53,6 +57,8 @@ def with_flipped_sign(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -
 
 def without_constraint(k: int, constraints: Sequence[Constraint] = CONSTRAINTS) -> tuple[Constraint, ...]:
     """The system with constraint k removed."""
+    if all(c.index != k for c in constraints):
+        raise ValueError(f"no constraint has index {k}")
     return tuple(c for c in constraints if c.index != k)
 
 
@@ -89,18 +95,24 @@ def _encode(constraints: Sequence[Constraint]) -> tuple[int, tuple[int, ...]]:
     return sign, flips
 
 
-def _violations(constraints: Sequence[Constraint]) -> list[int]:
+def _violations(constraints: Sequence[Constraint]) -> tuple[int, ...]:
     """Violated-constraint set of every assignment, in enumerate_assignments() order.
 
     Bit k of an entry is set when that assignment violates constraint k.
     Starting from the all-+1 assignment, each symbol from the last to the
-    first doubles the list, toggling its flip word on the new half.
+    first doubles the list, toggling its flip word on the new half.  The
+    last system's table is kept, keyed on a hashable copy of the system.
     """
+    return _doubled(tuple(Constraint(c.index, tuple(c.symbols), c.required) for c in constraints))
+
+
+@functools.lru_cache(maxsize=1)
+def _doubled(constraints: tuple[Constraint, ...]) -> tuple[int, ...]:
     sign, flips = _encode(constraints)
     rows = [sign]
     for flip in reversed(flips):
         rows += [r ^ flip for r in rows]
-    return rows
+    return tuple(rows)
 
 
 def _assignment(row: int) -> Assignment:
@@ -134,12 +146,8 @@ AvnAudit = namedtuple("AvnAudit", "all_nine_count max_satisfied assignments_at_m
 
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
-    return _audit(_violations(constraints), len(constraints))
-
-
-def _audit(rows: list[int], n: int) -> AvnAudit:
-    """avn_audit of a system of n constraints from its violated-set table."""
-    sizes = Counter(map(int.bit_count, rows))
+    n = len(constraints)
+    sizes = Counter(map(int.bit_count, _violations(constraints)))
     histogram = [sizes[n - k] for k in range(n + 1)]
     max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
     return AvnAudit(
@@ -155,12 +163,8 @@ LrBound = namedtuple("LrBound", "max_value min_value argmax_assignments")
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    return _bound(_violations(constraints), len(constraints))
-
-
-def _bound(rows: list[int], n: int) -> LrBound:
-    """lr_bound of a system of n constraints from its violated-set table."""
-    sizes = list(map(int.bit_count, rows))
+    n = len(constraints)
+    sizes = list(map(int.bit_count, _violations(constraints)))
     fewest = min(sizes)
     argmax = tuple(_assignment(row) for row, size in enumerate(sizes) if size == fewest)
     return LrBound(max_value=n - 2 * fewest, min_value=n - 2 * max(sizes), argmax_assignments=argmax)
@@ -186,11 +190,8 @@ def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
 
 def non_m_satisfying_assignments() -> tuple[Assignment, ...]:
     """Assignments reproducing the eight non-M perfect correlations: no violation but M's."""
-    return _non_m(_violations(CONSTRAINTS))
-
-
-def _non_m(rows: list[int]) -> tuple[Assignment, ...]:
     others = ~(1 << _M)
+    rows = _violations(CONSTRAINTS)
     return tuple(_assignment(row) for row, violated in enumerate(rows) if not violated & others)
 
 
@@ -203,11 +204,7 @@ def lr_m_histogram() -> tuple[float, ...]:
     symbols valued -1.  The support sits entirely on even-product
     outcomes, the exact complement of the quantum prediction.
     """
-    return _m_histogram(_violations(CONSTRAINTS))
-
-
-def _m_histogram(rows: list[int]) -> tuple[float, ...]:
-    admissible = _non_m(rows)
+    admissible = non_m_satisfying_assignments()
     counts = [0] * 16
     for a in admissible:
         counts[_index_bits(f for f in CORRELATIONS[_M].factors if value_of(a, f[1]) < 0)] += 1
@@ -216,10 +213,8 @@ def _m_histogram(rows: list[int]) -> tuple[float, ...]:
 
 def certificate() -> dict:
     """Machine-readable contradiction certificate for the CLI."""
-    # one violated-set table for the audit, the bound and the M histogram
-    rows = _violations(CONSTRAINTS)
-    audit = _audit(rows, len(CONSTRAINTS))
-    bound = _bound(rows, len(CONSTRAINTS))
+    audit = avn_audit()
+    bound = lr_bound()
     witness = parity_witness()
     # recomputed symbol by symbol, not read from the violated-set table, on
     # each published maximiser: Bell = 2k - 9 = the bound
@@ -251,7 +246,7 @@ def certificate() -> dict:
             "argmax_assignments": [list(a) for a in bound.argmax_assignments],
         },
         "parity_witness": witness,
-        "lr_m_histogram": list(_m_histogram(rows)),
+        "lr_m_histogram": list(lr_m_histogram()),
         "checks": checks,
         "ok": all(checks.values()),
     }

@@ -310,3 +310,50 @@ def test_symbols_are_the_constraint_symbols_and_local_observables():
     assert set(SYMBOLS) == {s for c in CONSTRAINTS for s in c.symbols}
     for s in SYMBOLS:
         assert local_observable(s).shape == (16, 16)
+
+
+def test_the_certificate_builds_the_table_once(monkeypatch):
+    # one _encode for the shared table and one for the parity witness; a
+    # second certificate reuses the table and encodes only for the witness
+    calls = []
+    encode = lhv._encode
+
+    def counted(constraints):
+        calls.append(len(constraints))
+        return encode(constraints)
+
+    monkeypatch.setattr(lhv, "_encode", counted)
+    lhv._doubled.cache_clear()
+    first = certificate()
+    assert len(calls) == 2
+    assert certificate() == first
+    assert len(calls) == 3
+
+
+def test_lists_give_the_same_results_as_tuples():
+    listed = list(CONSTRAINTS)
+    list_symbols = [Constraint(c.index, list(c.symbols), c.required) for c in CONSTRAINTS]
+    a = next(iter(enumerate_assignments()))
+    for system in (listed, list_symbols):
+        assert avn_audit(system) == avn_audit(CONSTRAINTS)
+        assert lr_bound(system) == lr_bound(CONSTRAINTS)
+        assert parity_witness(system) == parity_witness(CONSTRAINTS)
+        assert check_constraints(a, system) == check_constraints(a, CONSTRAINTS)
+        assert bell_quantity(a, system) == bell_quantity(a, CONSTRAINTS)
+        assert avn_audit(with_flipped_sign(9, system)) == avn_audit(with_flipped_sign(9))
+        assert lr_bound(without_constraint(4, system)) == lr_bound(without_constraint(4))
+
+
+def test_alternating_systems_read_their_own_tables():
+    flipped = with_flipped_sign(9)
+    counts = []
+    for _ in range(5):
+        counts += [avn_audit().all_nine_count, avn_audit(flipped).all_nine_count]
+    assert counts == [0, 16] * 5
+
+
+@pytest.mark.parametrize("k", [0, 10])
+@pytest.mark.parametrize("derive", [with_flipped_sign, without_constraint], ids=lambda f: f.__name__)
+def test_an_unknown_constraint_index_is_refused(derive, k):
+    with pytest.raises(ValueError, match=f"index {k}"):
+        derive(k)

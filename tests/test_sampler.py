@@ -15,6 +15,9 @@ draws: the CLI reads the frame's table and this port, the library reads
 the dense table and numpy.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,87 @@ def test_multinomial_replay_of_the_dense_table_gives_run_schedules_report():
         n = _sampler.poisson(bits, schedule.mean_counts(corr.id))
         counts = _sampler.multinomial(bits, n, _sampler.normalise(dist.tolist()))
         assert _records._estimate(corr.id, np.array(counts), n) == est
+
+
+VECTORS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "sampler_vectors.json")
+VECTOR_DRAWS = 30
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _numpy_outputs(kind, case):
+    """What numpy draws for one committed vector's inputs.
+
+    A draw vector ends with `next_word`, the raw word numpy draws next, so
+    a replay that takes one word too many or too few fails.
+    """
+    rng = _stream(case["seed"], case["index"])
+    if kind == "philox":
+        return {"words": rng.bit_generator.random_raw(16).tolist()}
+    if kind == "poisson":
+        out = {"draws": rng.poisson(float.fromhex(case["lam"]), VECTOR_DRAWS).tolist()}
+    elif kind == "binomial":
+        out = {"draws": rng.binomial(case["n"], float.fromhex(case["p"]), VECTOR_DRAWS).tolist()}
+    else:
+        n = int(rng.poisson(float.fromhex(case["lam"])))
+        dist = np.array([float.fromhex(w) for w in case["weights"]])
+        pvals = dist / dist.sum()
+        out = {"n": n, "pvals": _hex(pvals), "counts": rng.multinomial(n, pvals).tolist()}
+    return {**out, "next_word": int(rng.bit_generator.random_raw())}
+
+
+def _sampler_vectors():
+    """The vectors tests/test_sampler_vectors.py replays without numpy.
+
+    The multinomial rows are run_schedule's Born table of the fitted state
+    under the matched schedule, for seeds 0 and 1, and one row at mean 0,
+    which draws no events.
+    """
+    inputs = {
+        "philox": [{"seed": s, "index": i} for s, i in [(0, 0), (1, 8), (2**63, 3), (2**64 - 1, 8)]],
+        "poisson": [
+            {"seed": seed, "index": 4, "lam": float(lam).hex()}
+            for lam in [np.nextafter(10.0, 0.0), 10.0, 1e6] for seed in [0, 2**63]
+        ],
+        "binomial": [
+            {"case": name, "seed": seed, "index": 8, "n": n, "p": float(p).hex()}
+            for name in ["np_30_inversion", "np_30_btpe", "np_30_reflected_inversion", "np_30_reflected_btpe"]
+            for n, p in [BINOMIAL_CASES[name]]
+            for seed in [0, 2**64 - 1]
+        ],
+    }
+    rho, schedule = _runs()["fitted_matched"]
+    table = _dense_table(rho)
+    rows = [(seed, idx, schedule.mean_counts(corr.id)) for seed in (0, 1) for idx, corr in enumerate(CORRELATIONS)]
+    inputs["multinomial"] = [
+        {"seed": seed, "index": idx, "lam": float(lam).hex(), "weights": _hex(table[idx])}
+        for seed, idx, lam in rows + [(2, 0, 0.0)]
+    ]
+    vectors = {kind: [{**case, **_numpy_outputs(kind, case)} for case in cases] for kind, cases in inputs.items()}
+    return {"numpy": np.__version__, **vectors}
+
+
+def test_committed_vectors_are_numpys_draws():
+    with open(VECTORS, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    assert committed.pop("numpy") == "2.4.6"
+    for kind, cases in committed.items():
+        for case in cases:
+            assert {**case, **_numpy_outputs(kind, case)} == case, (kind, case)
+
+
+def test_committed_multinomial_weights_are_run_schedules_born_table():
+    with open(VECTORS, encoding="utf-8") as fh:
+        committed = json.load(fh)["multinomial"]
+    table = _dense_table(_runs()["fitted_matched"][0])
+    for case in committed:
+        assert case["weights"] == _hex(table[case["index"]]), case
+
+
+if __name__ == "__main__":
+    # rewrite the committed vectors: PYTHONPATH=src python tests/test_sampler.py
+    with open(VECTORS, "w", encoding="utf-8") as fh:
+        json.dump(_sampler_vectors(), fh, indent=1)
+        fh.write("\n")

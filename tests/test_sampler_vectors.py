@@ -1,0 +1,65 @@
+"""The standard-library sampler against numpy's committed draws, without numpy.
+
+tests/data/sampler_vectors.json holds what numpy 2.4.6 drew for fixed
+inputs: raw Philox4x64-10 words for four (seed, index) keys, Poisson
+draws on both sides of the PTRS switch at lam = 10, binomial draws at
+n p = 30 (inversion) and one ulp above (BTPE) with their p > 1/2
+reflections, and multinomial rows of run_schedule's Born table of the
+fitted state, one of them with no events.  Floats are stored by
+float.hex.  Each draw vector ends with the raw word numpy drew next, so
+the port must also take exactly as many words.
+
+This file imports neither numpy nor hypothesis, so the numpy-free CI job
+runs it; tests/test_sampler.py holds the port to live numpy and checks
+the vectors against numpy.  Each test takes no argument, so a script can
+call them on an interpreter without pytest.
+"""
+
+import json
+import os
+
+from avnsim import _sampler
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+with open(os.path.join(DATA, "sampler_vectors.json"), encoding="utf-8") as fh:
+    VECTORS = json.load(fh)
+
+
+def _drawn(case, draw):
+    """case's draws from a fresh (seed, index) stream, then the raw word after them."""
+    bits = _sampler.Philox(case["seed"], case["index"])
+    return [draw(bits) for _ in case["draws"]], bits.raw()
+
+
+def test_philox_words():
+    for case in VECTORS["philox"]:
+        bits = _sampler.Philox(case["seed"], case["index"])
+        assert [bits.raw() for _ in case["words"]] == case["words"], case
+
+
+def test_poisson_draws():
+    for case in VECTORS["poisson"]:
+        lam = float.fromhex(case["lam"])
+        assert _drawn(case, lambda bits: _sampler.poisson(bits, lam)) == (case["draws"], case["next_word"]), case
+
+
+def test_binomial_draws():
+    cases = VECTORS["binomial"]
+    regimes = {"np_30_inversion", "np_30_btpe", "np_30_reflected_inversion", "np_30_reflected_btpe"}
+    assert {c["case"] for c in cases} == regimes
+    for case in cases:
+        n, p = case["n"], float.fromhex(case["p"])
+        assert _drawn(case, lambda bits: _sampler.binomial(bits, n, p)) == (case["draws"], case["next_word"]), case
+
+
+def test_multinomial_rows():
+    cases = VECTORS["multinomial"]
+    assert 0 in {c["n"] for c in cases}
+    for case in cases:
+        pvals = _sampler.normalise([float.fromhex(w) for w in case["weights"]])
+        assert [p.hex() for p in pvals] == case["pvals"], case
+        bits = _sampler.Philox(case["seed"], case["index"])
+        n = _sampler.poisson(bits, float.fromhex(case["lam"]))
+        assert n == case["n"], case
+        assert _sampler.multinomial(bits, n, pvals) == case["counts"], case
+        assert bits.raw() == case["next_word"], case
