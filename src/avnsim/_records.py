@@ -13,6 +13,7 @@ module it is read from.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Mapping
 
@@ -244,15 +245,19 @@ def _left_sum(values):
     return total
 
 
-def _odd_sum(corr_id: str, row):
-    """A 16-bin row summed over the correlation's odd bins, exact on counts."""
-    return _left_sum([row[b] for b in _ODD_BINS[corr_id]])
+# each correlation's eight odd bins of a 16-bin row, read in _ODD_BINS order by one call
+_ODD_ENTRIES = {corr_id: operator.itemgetter(*bins) for corr_id, bins in _ODD_BINS.items()}
 
 
 def _estimate(corr_id: str, counts, n: int) -> CorrelationEstimate:
     """E = [C(+1) - C(-1)]/n = (n - 2 C(-1))/n and its binomial stderr, over integer counts of n > 0 events."""
-    e = (n - 2 * _odd_sum(corr_id, counts)) / n
-    return CorrelationEstimate(corr_id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n)
+    return _scored(corr_id, sum(_ODD_ENTRIES[corr_id](counts)), n)
+
+
+def _scored(corr_id: str, odd: int, n: int) -> CorrelationEstimate:
+    """The estimate of n > 0 events of which odd fell in the correlation's odd bins, made by tuple.__new__."""
+    e = (n - 2 * odd) / n
+    return tuple.__new__(CorrelationEstimate, (corr_id, e, math.sqrt(max(1.0 - e * e, 0.0) / n), n))
 
 
 def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
@@ -267,13 +272,13 @@ def _sampled_report(rows, schedule: Schedule, seed: int) -> ExperimentReport:
     for corr, counts in zip(CORRELATIONS, rows):
         n = sum(counts)
         if n == 0:
-            est = CorrelationEstimate(corr.id, math.nan, math.nan, 0)
-        else:
-            est = _estimate(corr.id, counts, n)
-            if corr.id == "M":
-                m_fidelity = _odd_sum("M", counts) / n
-                m_histogram = tuple(c / n for c in counts)
-        estimates.append(est)
+            estimates.append(tuple.__new__(CorrelationEstimate, (corr.id, math.nan, math.nan, 0)))
+            continue
+        odd = sum(_ODD_ENTRIES[corr.id](counts))
+        estimates.append(_scored(corr.id, odd, n))
+        if corr.id == "M":
+            m_fidelity = odd / n
+            m_histogram = tuple([c / n for c in counts])
     bell = _left_sum([corr.sign * est.E for corr, est in zip(CORRELATIONS, estimates)])
     stderr = math.sqrt(_left_sum([est.stderr ** 2 for est in estimates]))
     sigma = _sigma_violation(bell, stderr)
@@ -302,7 +307,7 @@ def _exact_report(values, bell: float, m_row) -> ExperimentReport:
     __new__ calls too, without the one Python call per record through it.
     """
     estimates = tuple([tuple.__new__(CorrelationEstimate, (corr.id, e, 0.0, 0)) for corr, e in zip(CORRELATIONS, values)])
-    fidelity = _odd_sum("M", m_row)
+    fidelity = _left_sum(_ODD_ENTRIES["M"](m_row))
     return tuple.__new__(ExperimentReport, (estimates, bell, 0.0, _sigma_violation(bell, 0.0), fidelity, tuple(m_row), None, None))
 
 

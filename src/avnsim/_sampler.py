@@ -262,6 +262,9 @@ def _binomial_btpe(bits: Philox, n: int, p: float) -> int:
 
 
 def _stirling(x: float) -> float:
+    # numpy's BTPE writes the series' 1/12 as 13680/166320 where it is
+    # 13860/166320; the port keeps numpy's 13680, since its accept bound must
+    # be numpy's to the last bit for the draws to be numpy's
     x2 = x * x
     return (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x / 166320.0
 

@@ -15,9 +15,9 @@ C(-1)]/n in exact integers with standard error sqrt((1 - E^2)/n).  Each
 correlation draws from its own Philox stream keyed by (seed, correlation
 index), so reports are bit-reproducible in any order.  A stream is named
 by its key alone, so each thread keeps one Generator on one Philox and
-re-keys it before each correlation.  The nine Born rows are one
-contraction, normalised by one division, and so are predict_exact's
-values and M row.
+re-keys it, with plain ints for the state words, before each
+correlation.  The nine Born rows are one contraction, normalised by one
+division, and so are predict_exact's values and M row.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -126,14 +126,14 @@ def _exact_stack() -> np.ndarray:
 
 def _probabilities(p: np.ndarray) -> np.ndarray:
     """Check (..., 16) Born weights row by row and return them real, clipped at 0."""
-    if float(np.max(np.abs(p.imag))) > ATOL_SPECTRAL:
+    if float(abs(p.imag).max()) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities acquired an imaginary part")
     p = p.real
     if float(p.min()) < -ATOL_SPECTRAL:
         raise ValueError(f"negative outcome probability {float(p.min()):.3e}")
-    if float(np.max(np.abs(p.sum(axis=-1) - 1.0))) > ATOL_SPECTRAL:
+    if float(abs(p.sum(-1) - 1.0).max()) > ATOL_SPECTRAL:
         raise ValueError("outcome probabilities do not sum to 1")
-    return np.clip(p, 0.0, None)
+    return p.clip(0.0, None)
 
 
 def outcome_distribution(rho: np.ndarray, pair: ContextPair) -> np.ndarray:
@@ -156,16 +156,11 @@ class CountTable:
             raise ValueError("counts do not sum to total")
 
 
-# a stream's counter and buffer at its start: four zero words, shared by every re-key
-_ZERO_WORDS = np.zeros(4, np.uint64)
-_ZERO_WORDS.setflags(write=False)
-
-
 def _rekey(bits: np.random.Philox, key: int, stream_index: int) -> None:
-    """Set bits to the start of the (key, stream index) stream: counter 0, empty buffer; key already checked."""
-    words = np.array([key, stream_index], np.uint64)
-    bits.state = {"bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": words},
-                  "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    """Set bits to the start of the (key, stream index) stream: counter 0, empty buffer; key already checked.
+    The setter casts each plain int word to uint64, as a uint64 array holds it."""
+    bits.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (key, stream_index)},
+                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) -> np.random.Generator:
@@ -175,8 +170,16 @@ def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) 
     return np.random.Generator(bits)
 
 
-# each thread's Generator for run_schedule, built on the thread's first run
+# each thread's Generator for run_schedule and sample_events, built on the thread's first draw
 _THREAD = threading.local()
+
+
+def _thread_rng() -> np.random.Generator:
+    """This thread's one Generator; each caller re-keys it before it draws."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    return rng
 
 
 def _draw_counts(rng: np.random.Generator, dist: np.ndarray, n: int) -> CountTable:
@@ -192,7 +195,9 @@ def sample_events(dist, n: int, seed: int) -> CountTable:
     weights = p.shape == (DIM,) and np.isfinite(p).all() and p.min() >= 0.0
     if not (weights and 0.0 < sum(p.tolist()) < math.inf):  # a Python sum overflows without a warning
         raise ValueError(f"dist must be {DIM} finite, non-negative weights with a positive finite sum")
-    return _draw_counts(_stream(seed, 0), p, n)
+    rng = _thread_rng()
+    _rekey(rng.bit_generator, check_seed(seed), 0)
+    return _draw_counts(rng, p, n)
 
 
 def estimate_correlation(table: CountTable, corr: Correlation | str) -> CorrelationEstimate:
@@ -232,9 +237,7 @@ def run_schedule(rho: np.ndarray, schedule: Schedule, seed: int) -> ExperimentRe
     """
     dists = _born_table(rho)
     key = check_seed(seed)
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.Philox())
+    rng = _thread_rng()
     bits = rng.bit_generator
     rows = []
     for idx, (corr, dist) in enumerate(zip(CORRELATIONS, dists)):

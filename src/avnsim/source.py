@@ -88,8 +88,9 @@ def apply_noise(state: np.ndarray, model: NoiseModel) -> np.ndarray:
     not built with it.
     """
     psi = qstate.assert_state(state, atol=ATOL_ALGEBRA / 2)
-    # phase on Alice's path qubit, as a matrix product: the elementwise
-    # form rounds differently in the last digit of some documents
+    # phase on Alice's path qubit, as a matrix product: the elementwise form
+    # rounds differently in the last digit of some states, which
+    # test_state_and_channel_equal_the_reference_arithmetic_bit_for_bit pins
     phase = np.zeros((DIM, DIM), dtype=complex)
     phase.flat[:: DIM + 1] = np.exp(1j * model.phase_offset * _ALICE_PATH)
     psi = phase @ psi

@@ -7,7 +7,8 @@ n p = 30 (inversion) and one ulp above (BTPE) with their p > 1/2
 reflections, and multinomial rows of run_schedule's Born table of the
 fitted state, one of them with no events.  Floats are stored by
 float.hex.  Each draw vector ends with the raw word numpy drew next, so
-the port must also take exactly as many words.
+the port must also take exactly as many words.  The log-Gamma helpers
+of the Poisson and binomial bounds are checked against math.lgamma.
 
 This file imports neither numpy nor hypothesis, so the numpy-free CI job
 runs it; tests/test_sampler.py holds the port to live numpy and checks
@@ -16,6 +17,7 @@ call them on an interpreter without pytest.
 """
 
 import json
+import math
 import os
 
 from avnsim import _sampler
@@ -63,3 +65,18 @@ def test_multinomial_rows():
         assert n == case["n"], case
         assert _sampler.multinomial(bits, n, pvals) == case["counts"], case
         assert bits.raw() == case["next_word"], case
+
+
+def test_loggam_is_the_standard_librarys_lgamma():
+    # every multiple of 1/2 from 1 to 400: the recurrence below 7 and the series above
+    for k in range(2, 801):
+        x = k / 2
+        assert abs(_sampler._loggam(x) - math.lgamma(x)) <= 2e-12, x
+
+
+def test_stirling_is_the_remainder_of_stirlings_formula_with_numpys_13680():
+    # the remainder lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi) / 2) of the series
+    # with 13860 is the port's value plus the 180 / (166320 x) numpy leaves out
+    for x in range(21, 5001):
+        remainder = math.lgamma(x) - ((x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi))
+        assert abs(_sampler._stirling(float(x)) + 180.0 / (166320.0 * x) - remainder) <= 5e-11, x

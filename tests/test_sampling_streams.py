@@ -56,6 +56,25 @@ def test_one_rekeyed_generator_gives_every_stream_of_a_seed(seed):
         assert np.array_equal(halves, np.random.Generator(_fresh(seed, idx)).integers(2**32, size=9, dtype=np.uint32))
 
 
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("idx", [0, 8])
+def test_a_plain_int_rekey_sets_the_state_of_a_uint64_key(key, idx):
+    # a signed slip in the cast of a word above 2**63 would change the key
+    bits = np.random.Philox()
+    _dirty(bits)
+    experiment._rekey(bits, key, idx)
+    want = _fresh(key, idx)
+    state, fresh = bits.state, want.state
+    for words in ("counter", "key"):
+        assert np.array_equal(state["state"][words], fresh["state"][words]), words
+        assert state["state"][words].dtype == np.uint64, words
+    assert np.array_equal(state["buffer"], fresh["buffer"])
+    assert {k: state[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")} == {
+        k: fresh[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")
+    }
+    assert bits.random_raw(8).tolist() == want.random_raw(8).tolist()
+
+
 def test_rekeying_checks_the_seed():
     with pytest.raises(ValueError, match=str(2**64)):
         _stream(2**64, 0, np.random.Philox())
@@ -142,6 +161,19 @@ def test_the_one_division_normalises_each_row_as_its_own_division_and_the_port_d
         for row, dist in zip(table, checked):
             assert row.tobytes() == (dist / dist.sum()).tobytes()
             assert row.tolist() == _sampler.normalise(dist.tolist())
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63, 2**64 - 1])
+def test_sample_events_draws_the_seeds_stream_zero_on_the_threads_generator(seed):
+    weights = np.arange(1.0, DIM + 1.0)
+    for n in (0, 1, 17, 1000, 10**6):
+        for dist in (np.full(DIM, 1.0 / DIM), weights):
+            want = experiment._draw_counts(_stream(seed, 0), dist, n)
+            assert sample_events(dist, n, seed) == want, n
+            # a run between two calls leaves the thread's generator mid-stream
+            experiment.run_schedule(np.eye(DIM) / DIM, Schedule(pair_rate=5.0), seed)
+            _dirty(experiment._THREAD.rng.bit_generator)
+            assert sample_events(dist, n, seed) == want, n
 
 
 _THREAD_SEEDS = [[4 * k + t for k in range(5)] for t in range(4)]
