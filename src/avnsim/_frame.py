@@ -10,28 +10,28 @@ The noise channel of source.apply_noise scales each word on its own:
 
     Tr(rho P) = (1 - w) vp^|x & pol| vq^|x & path| <psi_d|P|psi_d> + w [P = I],
 
-where psi_d is the ideal state with the phase offset on path_A.  Each
+where psi_d is the ideal state with the phase offset on path_A.  It sits
+on the four source slots of _tables, a coset of the X-masks _LIVE_X =
+{0, 5, 10, 15}, so <psi_d|P|psi_d> is 0 unless x is in _LIVE_X.  Each
 correlation is read in one setting pair, whose four readout generators
 G_i (Alice's two, then Bob's, as CONTEXT_SYMBOLS lists them) give the 16
-outcome probabilities of its Born row:
+outcome probabilities of its Born row, summed over the non-zero words:
 
     p(b) = 2^-4 sum_S (prod_{i in S} b_i) E(prod_{i in S} G_i).
 
 This holds because each device is the ideal projective readout of its
-setting (apparatus_vs_projective); the setting pair and the bit order
-are read from the readout table of _tables.  predict prints the M row;
+setting (apparatus_vs_projective); the setting pair and the bit order are
+read from the readout table of _tables.  predict prints the M row;
 simulate draws from all nine through _sampler, so `avnsim simulate` and
-`reproduce-paper` run without numpy.  Both hand their numbers to
-_records, which builds the report as it does for the dense path
-(experiment.predict_exact and run_schedule on source.apply_noise), this
-module's oracle in the tests.
+`reproduce-paper` run without numpy.  Both hand their numbers to _records,
+which builds the report as the dense path does (experiment.predict_exact
+and run_schedule on source.apply_noise), this module's oracle in tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from collections import namedtuple
 from functools import reduce
 
@@ -45,8 +45,7 @@ Word = tuple[int, int, int]
 IDENTITY: Word = (0, 0, 0)
 _I_POWER = (1, 1j, -1, -1j)
 _BINS = 16
-# _BIN_SIGNS[b][m] = (-1)^|m & b|, the sign of subset m's expectation in bin b
-_BIN_SIGNS = tuple(tuple(-1.0 if (m & b).bit_count() % 2 else 1.0 for m in range(_BINS)) for b in range(_BINS))
+_LIVE_X = frozenset(a ^ b for a in _SOURCE_SLOTS for b in _SOURCE_SLOTS)
 
 
 def compose(p: Word, q: Word) -> Word:
@@ -86,7 +85,9 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
 
     def expect(p: Word) -> float:
         x, z, k = p
-        pure = _left_sum([psi.get(b ^ x, 0.0).conjugate() * amp * (-1) ** (z & b).bit_count() for b, amp in psi.items()])
+        if x not in _LIVE_X:
+            return 0.0
+        pure = _left_sum([psi[b ^ x].conjugate() * amp * (-1) ** (z & b).bit_count() for b, amp in psi.items()])
         damp = (1.0 - w) * noise.pol_visibility ** (x & _POL).bit_count() * noise.path_visibility ** (x & _PATH).bit_count()
         return damp * (_I_POWER[k] * pure).real + (w * _I_POWER[k].real if x == z == 0 else 0.0)
 
@@ -95,10 +96,9 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
 
 def _born_rows(expect, rows) -> list[list[float]]:
     """The 16-bin Born rows of the given correlation indices, checked and clipped by _records._distributions."""
-    table = []
-    for k in rows:
-        subsets = [expect(p) for p in _ROW_SUBSET_WORDS[k]]
-        table.append([_left_sum(map(operator.mul, signs, subsets)) / 16 for signs in _BIN_SIGNS])
+    # sign (-1)^|m & b|; skipping zero terms moves no bit, as each sum starts at the identity's ~1
+    nonzero = [[(m, e) for m, e in enumerate(map(expect, _ROW_SUBSET_WORDS[k])) if e] for k in rows]
+    table = [[_left_sum([-e if (m & b).bit_count() % 2 else e for m, e in terms]) / 16 for b in range(_BINS)] for terms in nonzero]
     return _distributions(table)
 
 

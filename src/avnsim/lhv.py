@@ -89,7 +89,11 @@ def _encode(constraints: Sequence[Constraint]) -> tuple[int, tuple[int, ...]]:
     violated set of the all-+1 assignment.  Bit k of a symbol's flip word
     is set when the symbol is a factor of constraint k an odd number of
     times (a symbol listed twice cancels), so negating it toggles those.
+    A symbol outside SYMBOLS would have no flip word, so it is refused.
     """
+    unknown = [s for c in constraints for s in c.symbols if s not in _SYMBOL_INDEX]
+    if unknown:
+        raise KeyError(f"unknown observable symbol {unknown[0]!r}")
     sign = sum(1 << k for k, c in enumerate(constraints) if c.required == -1)
     flips = tuple(sum(c.symbols.count(s) % 2 << k for k, c in enumerate(constraints)) for s in SYMBOLS)
     return sign, flips

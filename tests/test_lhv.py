@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -26,7 +25,7 @@ from avnsim.lhv import (
 )
 
 # frozen regression constants, produced by this module's own enumeration on
-# first run and cross-checked by the rank argument below
+# first run and cross-checked by the rank argument in tests/test_exact_proofs.py
 HISTOGRAM = (16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0)
 ASSIGNMENTS_AT_MAX = 144
 
@@ -95,47 +94,6 @@ class TestAvnAudit:
         assert audit.assignments_at_max == ASSIGNMENTS_AT_MAX
         assert audit.histogram == HISTOGRAM
         assert sum(audit.histogram) == 4096
-
-    def test_histogram_against_rank_argument(self):
-        # independent oracle: over GF(2) the nine constraints are linear in
-        # the sign exponents; their only dependency is the full sum, so a
-        # pattern satisfying exactly k constraints is consistent iff k is
-        # even, and each consistent pattern has 2^(12-8) solutions
-        expected = tuple(
-            16 * math.comb(9, k) if k % 2 == 0 else 0 for k in range(10)
-        )
-        assert avn_audit().histogram == expected
-
-    def test_certificate_histogram_is_the_closed_form_of_the_encoded_system(self):
-        # every symbol sits in two constraints, so each flip word has weight
-        # 2 and their span holds only even-weight words; at rank n - 1 it is
-        # all of them, so the violated sets (the sign word plus the span) are
-        # exactly the words of the sign word's parity, each reached by
-        # 2^(12 - rank) assignments
-        sign, flips = lhv._encode(CONSTRAINTS)
-        n = len(CONSTRAINTS)
-        assert {flip.bit_count() for flip in flips} == {2}
-        rank = _gf2_rank(flips)
-        assert rank == n - 1 == 8
-        assert sign.bit_count() == 5
-        closed = [
-            2 ** (len(SYMBOLS) - rank) * math.comb(n, n - k) if (n - k) % 2 == sign.bit_count() % 2 else 0
-            for k in range(n + 1)
-        ]
-        assert closed == [16, 0, 576, 0, 2016, 0, 1344, 0, 144, 0]
-        assert certificate()["histogram_by_satisfied_count"] == closed
-
-
-def _gf2_rank(words):
-    """Rank over GF(2) of integers read as bit vectors, by elimination on the lowest set bit."""
-    rows, rank = list(words), 0
-    while rows:
-        pivot = rows.pop()
-        if pivot:
-            rank += 1
-            low = pivot & -pivot
-            rows = [row ^ pivot if row & low else row for row in rows]
-    return rank
 
 
 class TestLrBound:
@@ -357,3 +315,23 @@ def test_alternating_systems_read_their_own_tables():
 def test_an_unknown_constraint_index_is_refused(derive, k):
     with pytest.raises(ValueError, match=f"index {k}"):
         derive(k)
+
+
+def _with_symbol_renamed(old, new):
+    return tuple(Constraint(c.index, tuple(new if s == old else s for s in c.symbols), c.required) for c in CONSTRAINTS)
+
+
+@pytest.mark.parametrize("read", [avn_audit, lr_bound, parity_witness], ids=lambda f: f.__name__)
+def test_a_symbol_outside_symbols_is_refused(read):
+    # an unknown symbol has no flip word, so it would act as a constant +1
+    # that no assignment flips: each encoded reader must refuse the system,
+    # as check_constraints and bell_quantity do
+    typo = _with_symbol_renamed("zA", "zA_typo")
+    with pytest.raises(KeyError, match="unknown observable symbol 'zA_typo'"):
+        read(typo)
+    a = next(iter(enumerate_assignments()))
+    with pytest.raises(KeyError):
+        check_constraints(a, typo)
+    with pytest.raises(KeyError):
+        bell_quantity(a, typo)
+    assert read(CONSTRAINTS) == read()

@@ -15,6 +15,7 @@ draws: the CLI reads the frame's table and this port, the library reads
 the dense table and numpy.
 """
 
+import hashlib
 import json
 import os
 
@@ -138,6 +139,28 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+def _digest(draws):
+    """The sha256 of a long run's draws (ints, or lists of counts) as str() writes them, joined by spaces."""
+    return hashlib.sha256(" ".join(map(str, draws)).encode()).hexdigest()
+
+
+# long runs, each reaching its named branch many times: (inputs, draws)
+LONG_RUNS = {
+    "ptrs_slow_path_lam_10_5": ({"lam": (10.5).hex()}, 30_000),
+    "ptrs_slow_path_lam_1e6": ({"lam": (1e6).hex()}, 30_000),
+    "btpe_explicit_np_31": ({"n": 1000, "p": (0.031).hex()}, 30_000),
+    "btpe_squeeze_and_stirling_npq_90": ({"n": 1000, "p": (0.1).hex()}, 30_000),
+    "btpe_squeeze_and_stirling_npq_2100": ({"n": 10_000, "p": (0.3).hex()}, 50_000),
+    # k * k beyond int64 in the squeeze, which numpy's C arithmetic wraps
+    "btpe_int64_wrap_n_2_62": ({"n": 2**62 - 7, "p": (0.25).hex()}, 20_000),
+    # q = 1 - p with q n one ulp below 30: the reflected draw by inversion
+    # (q n at p = 0.97 rounds above 30, so that case draws by BTPE)
+    "reflected_inversion_qn_below_30": ({"n": 1000, "p": float(np.nextafter(0.97, 1.0)).hex()}, 5_000),
+    # the chain often has one event left before its last bin
+    "multinomial_three_events": ({"n": 3, "pvals": _hex([1 / 16] * 16)}, 3_000),
+}
+
+
 def _numpy_outputs(kind, case):
     """What numpy draws for one committed vector's inputs.
 
@@ -147,7 +170,15 @@ def _numpy_outputs(kind, case):
     rng = _stream(case["seed"], case["index"])
     if kind == "philox":
         return {"words": rng.bit_generator.random_raw(16).tolist()}
-    if kind == "poisson":
+    if kind == "long_run":
+        if "lam" in case:
+            draws = rng.poisson(float.fromhex(case["lam"]), case["count"])
+        elif "p" in case:
+            draws = rng.binomial(case["n"], float.fromhex(case["p"]), case["count"])
+        else:
+            draws = rng.multinomial(case["n"], [float.fromhex(w) for w in case["pvals"]], case["count"])
+        out = {"sha256": _digest(draws.tolist())}
+    elif kind == "poisson":
         out = {"draws": rng.poisson(float.fromhex(case["lam"]), VECTOR_DRAWS).tolist()}
     elif kind == "binomial":
         out = {"draws": rng.binomial(case["n"], float.fromhex(case["p"]), VECTOR_DRAWS).tolist()}
@@ -164,7 +195,8 @@ def _sampler_vectors():
 
     The multinomial rows are run_schedule's Born table of the fitted state
     under the matched schedule, for seeds 0 and 1, and one row at mean 0,
-    which draws no events.
+    which draws no events.  The long runs store only the sha256 of their
+    draws (see _digest) and the word after them.
     """
     inputs = {
         "philox": [{"seed": s, "index": i} for s, i in [(0, 0), (1, 8), (2**63, 3), (2**64 - 1, 8)]],
@@ -185,6 +217,10 @@ def _sampler_vectors():
     inputs["multinomial"] = [
         {"seed": seed, "index": idx, "lam": float(lam).hex(), "weights": _hex(table[idx])}
         for seed, idx, lam in rows + [(2, 0, 0.0)]
+    ]
+    inputs["long_run"] = [
+        {"case": name, "seed": 0, "index": 4 if "lam" in params else 8, **params, "count": count}
+        for name, (params, count) in LONG_RUNS.items()
     ]
     vectors = {kind: [{**case, **_numpy_outputs(kind, case)} for case in cases] for kind, cases in inputs.items()}
     return {"numpy": np.__version__, **vectors}
