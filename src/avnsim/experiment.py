@@ -16,8 +16,12 @@ correlation draws from its own Philox stream keyed by (seed, correlation
 index), so reports are bit-reproducible in any order.  A stream is named
 by its key alone, so each thread keeps one Generator on one Philox and
 re-keys it, with plain ints for the state words, before each
-correlation.  The nine Born rows are one contraction, normalised by one
-division, and so are predict_exact's values and M row.
+correlation.  The nine Born rows, normalised by one division, are one
+contraction over the non-zero entries of the pairs' projectors (onto
+stabilizer states on 2 or 8 basis states), with the full einsum's bits
+for rho in C order: both sum each row from +0 and add the rows in order
+from +0, and a skipped product with an exact 0 adds +-0, which moves no
+bit as rho is checked finite first.  predict_exact is one full einsum.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -113,6 +117,23 @@ def _born_stack() -> np.ndarray:
     stack = np.array([_joint_projectors.__wrapped__(pair.alice, pair.bob) for pair in pairs])
     stack.setflags(write=False)
     return stack
+
+
+@lru_cache(maxsize=None)
+def _born_support() -> tuple[np.ndarray, np.ndarray]:
+    """The Born stack's non-zero entries and their flat rho indices as (entry, row, projector) tables,
+    rows and entries in increasing (i, j) order, padded with 0j at index 0; read-only."""
+    flat = _born_stack.__wrapped__().reshape(-1, DIM, DIM)
+    width = int((flat != 0).sum(axis=-1).max())
+    vals = np.zeros((width, width, len(flat)), dtype=complex)
+    index = np.zeros(vals.shape, dtype=np.intp)
+    for k, proj in enumerate(flat):
+        for r, i in enumerate(np.flatnonzero(proj.any(axis=1))):
+            j = np.flatnonzero(proj[i])
+            vals[: len(j), r, k], index[: len(j), r, k] = proj[i, j], j * DIM + i  # entry (i, j) meets rho[j, i]
+    for table in (vals, index):
+        table.setflags(write=False)
+    return vals, index
 
 
 @lru_cache(maxsize=None)
@@ -215,9 +236,14 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
 
 
 def _born_table(rho: np.ndarray) -> np.ndarray:
-    """The nine outcome distributions of rho in CORRELATIONS order: one contraction with the
-    stacked projectors, checked as one table and normalised by one division, each row as d / d.sum()."""
-    dists = _probabilities(np.einsum("koij,ji->ko", _born_stack(), assert_density_shape(rho)))
+    """The nine outcome distributions of a finite rho in CORRELATIONS order: the stacked einsum's bits from the
+    non-zero entries alone, checked as one table and normalised by one division, each row as d / d.sum()."""
+    rho = assert_density_shape(rho)
+    if not np.isfinite(rho).all():  # a skipped 0 * inf or 0 * NaN would leave some rows finite
+        raise ValueError("outcome probabilities are not finite")
+    vals, index = _born_support()
+    rows = np.einsum("wrk,wrk->rk", vals, rho.take(index))  # einsum's product, summed from +0 in entry order
+    dists = _probabilities(np.einsum("rk->k", rows).reshape(len(CORRELATIONS), DIM))  # rows in order, warning-free
     dists = dists / dists.sum(axis=1, keepdims=True)
     if not np.isfinite(dists).all():  # NaN passes every comparison in _probabilities
         raise ValueError("outcome probabilities are not finite")

@@ -637,13 +637,26 @@ def test_predict_exact_passes_a_non_finite_state_through_as_nan(rho):
     assert all(math.isnan(v) for v in values)
 
 
+_ONE_NON_FINITE_ENTRY = {
+    f"one_{name}_{where}": _with_entries({entry: value})
+    for name, value in [("nan", math.nan), ("inf", math.inf), ("imaginary_inf", complex(0.0, -math.inf))]
+    for where, entry in [("diagonal", (5, 5)), ("off_diagonal", (3, 12))]
+}
+
+
 @pytest.mark.parametrize(
     "rho",
-    [np.full((DIM, DIM), math.nan), _with_entries({(i, i): math.inf for i in range(DIM)})],
-    ids=["all_nan", "inf_diagonal"],
+    [
+        np.full((DIM, DIM), math.nan),
+        _with_entries({(i, i): math.inf for i in range(DIM)}),
+        *_ONE_NON_FINITE_ENTRY.values(),
+    ],
+    ids=["all_nan", "inf_diagonal", *_ONE_NON_FINITE_ENTRY],
 )
 def test_run_schedule_rejects_a_non_finite_state_before_any_draw(rho):
-    # NaN fails no comparison in _probabilities, so numpy's multinomial would reject the row
+    # NaN fails no comparison in _probabilities, so numpy's multinomial would reject the row;
+    # the Born rows skip each product with an exact-zero projector entry, so one inf would
+    # reach only some rows, as +-inf, and fail another check: rho is checked first
     with mock.patch.object(experiment, "_rekey", wraps=experiment._rekey) as rekey:
         with pytest.raises(ValueError, match="^outcome probabilities are not finite$"):
             run_schedule(rho, Schedule(), 0)

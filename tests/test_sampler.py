@@ -18,6 +18,7 @@ the dense table and numpy.
 import hashlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,10 +56,12 @@ def test_poisson_draws_equal_numpys(lam, seed):
 
 _HALF_UP, _HALF_DOWN = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
 BINOMIAL_CASES = {
-    # n * p = 30 exactly draws by inversion, one ulp more by BTPE
+    # n * p = 30 exactly draws by inversion, one ulp more by BTPE; above 1/2 the switch
+    # reads q = 1 - p, and 1 - 0.97 rounds up, so q * n is 29.999999999999915 one ulp
+    # above 0.97 (inversion) and 30.00000000000003 at 0.97 itself (BTPE)
     "np_30_inversion": (1000, 0.03),
     "np_30_btpe": (1000, np.nextafter(0.03, 1.0)),
-    "np_30_reflected_inversion": (1000, 0.97),
+    "np_30_reflected_inversion": (1000, np.nextafter(0.97, 1.0)),
     "np_30_reflected_btpe": (1000, np.nextafter(0.97, 0.0)),
     "half_btpe": (1000, 0.5),
     "half_up_btpe": (1000, _HALF_UP),
@@ -81,6 +84,16 @@ def test_binomial_draws_equal_numpys(n, p, seed):
     bits = _sampler.Philox(seed, 8)
     want = _stream(seed, 8).binomial(n, p, DRAWS).tolist()
     assert [_sampler.binomial(bits, n, float(p)) for _ in range(DRAWS)] == want
+
+
+@pytest.mark.parametrize("name", [name for name in BINOMIAL_CASES if name.endswith(("_inversion", "_btpe"))])
+def test_each_named_binomial_case_draws_by_the_algorithm_it_names(name):
+    # a case named for one side of the q * n <= 30 switch that draws on the other tests neither
+    n, p = BINOMIAL_CASES[name]
+    with mock.patch.object(_sampler, "_binomial_inversion", wraps=_sampler._binomial_inversion) as inversion, \
+            mock.patch.object(_sampler, "_binomial_btpe", wraps=_sampler._binomial_btpe) as btpe:
+        _sampler.binomial(_sampler.Philox(0, 8), n, float(p))
+    assert (inversion.call_count, btpe.call_count) == ((1, 0) if name.endswith("_inversion") else (0, 1))
 
 
 def test_multinomial_normalisation_equals_numpys_division_by_its_pairwise_sum():

@@ -1,7 +1,9 @@
+import contextlib
 import math
 import sys
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,6 +14,7 @@ from avnsim import _frame, _sampler, experiment
 from avnsim.experiment import (
     Schedule,
     _born_stack,
+    _born_support,
     _born_table,
     _exact_stack,
     _joint_projectors,
@@ -113,6 +116,37 @@ def test_the_born_stack_is_the_nine_pairs_read_only_in_correlation_order():
         assert row.tobytes() == _joint_projectors(pair.alice, pair.bob).tobytes(), corr.id
 
 
+def test_the_born_support_is_read_only_and_cached():
+    vals, index = _born_support()
+    assert (vals.dtype, index.dtype) == (complex, np.intp)
+    assert vals.shape == index.shape == (8, 8, len(CORRELATIONS) * DIM)
+    assert not vals.flags.writeable and not index.flags.writeable
+    assert _born_support() is _born_support()
+
+
+def test_the_born_support_lists_each_non_zero_entry_of_the_stack_once_row_by_row_in_order():
+    # the contraction gives the full einsum's bits only if it adds the same non-zero
+    # terms in the same order: rows by i, each row's entries by j, padding after them
+    vals, index = _born_support()
+    for k, proj in enumerate(_born_stack().reshape(-1, DIM, DIM)):
+        listed = vals[..., k] != 0
+        i, j = index[..., k] % DIM, index[..., k] // DIM  # entry (i, j) meets rho[j, i]
+        got = [proj[a, b].tobytes() for a, b in zip(i[listed], j[listed])]
+        assert got == [v.tobytes() for v in vals[..., k][listed]], k
+        rest = proj.copy()
+        rest[i[listed], j[listed]] = 0
+        assert not rest.any(), k  # every entry the tables omit is exactly 0
+        # read row by row, the listed (i, j) are the stack's non-zero (i, j) in increasing order
+        assert list(zip(i.T[listed.T].tolist(), j.T[listed.T].tolist())) == list(zip(*np.nonzero(proj))), k
+        # one row of the tables per non-zero row of the projector, in increasing i
+        heads = [set(i[listed[:, r], r].tolist()) for r in range(listed.shape[1])]
+        assert [h for h in heads if h] == [{a} for a in np.flatnonzero(proj.any(axis=1)).tolist()], k
+        # padding follows the listed entries of a row, and the listed rows
+        assert (np.sort(~listed, axis=0) == ~listed).all() and (np.sort(~listed.any(0)) == ~listed.any(0)).all(), k
+        assert vals[..., k][~listed].tobytes() == bytes(16 * int((~listed).sum())), k  # padding is +0j
+        assert not index[..., k][~listed].any(), k
+
+
 def test_the_exact_stack_is_the_nine_operators_the_bell_operator_and_the_m_projectors_read_only():
     stack = _exact_stack()
     pair = context_pair("M")
@@ -145,6 +179,86 @@ def test_the_stacked_born_table_equals_the_per_pair_rows_bit_for_bit(parts, phi,
         rows = np.array([np.einsum("oij,ji->o", _joint_projectors(p.alice, p.bob), rho) for p in pairs])
         assert table.shape == rows.shape
         assert table.tobytes() == rows.tobytes()
+
+
+def _raw_born_table(rho):
+    # the table _born_table hands to _probabilities, kept when a check then rejects it
+    with mock.patch.object(experiment, "_probabilities", wraps=experiment._probabilities) as checked:
+        with contextlib.suppress(ValueError), np.errstate(all="ignore"):
+            _born_table(rho)
+    (table,), _ = checked.call_args
+    return table
+
+
+def _full_einsum(rho):
+    # the stacked einsum on rho as _born_table reads it: complex, in C order; the
+    # einsum's own sum order follows the memory layout (a transposed view adds all
+    # 256 terms of a projector in one run, not row by row), the support's does not
+    return np.einsum("koij,ji->ko", _born_stack(), np.ascontiguousarray(rho, dtype=complex))
+
+
+def _edge_states():
+    rng = np.random.default_rng(33)
+    rho = apply_noise(build_psi(SourceConfig(0.7)), _NOISE)
+    diagonal = np.eye(DIM, dtype=complex) / DIM
+    off = ~np.eye(DIM, dtype=bool)
+    signs = rng.choice([-1.0, 1.0], (DIM, DIM)) + 1j * rng.choice([-1.0, 1.0], (DIM, DIM))
+    negative_zeros = diagonal.copy()
+    negative_zeros[off] = rng.choice([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)], int(off.sum()))
+    states = {
+        "real_dtype": rho.real,
+        "transposed_view": rho.T,
+        "fortran_order": np.asfortranarray(rho),
+        "negative_zeros": negative_zeros,
+        "all_negative_zero": np.full((DIM, DIM), complex(-0.0, -0.0)),
+        "subnormal_entries": np.where(off, 5e-324 * rng.integers(1, 9, (DIM, DIM)) * signs, diagonal),
+        "subnormal_state": 2.2e-309 * rng.random((DIM, DIM)) * signs,
+        "near_1e308": 1.7e308 * rng.uniform(0.5, 1.0, (DIM, DIM)) * signs,
+        "near_1e308_diagonal": np.where(off, rho, 1.7e308),
+    }
+    for b in range(DIM):
+        states[f"basis_{b}"] = np.outer(np.eye(DIM)[b], np.eye(DIM)[b]).astype(complex)
+    return states
+
+
+_EDGE_STATES = _edge_states()
+
+
+def _full_born_table(rho):
+    # _born_table as one full einsum, its checks and its one division
+    dists = _probabilities(_full_einsum(rho))
+    dists = dists / dists.sum(axis=1, keepdims=True)
+    if not np.isfinite(dists).all():
+        raise ValueError("outcome probabilities are not finite")
+    return dists
+
+
+def _outcome(born_table, rho):
+    # the table's bits, or the error or warning that ends the call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return born_table(rho).tobytes()
+        except (ValueError, RuntimeWarning) as error:
+            return type(error), str(error)
+
+
+@pytest.mark.parametrize("name", _EDGE_STATES)
+def test_the_born_table_on_edge_states_is_the_full_einsum_bit_for_bit(name):
+    # the support contraction skips only products with an exact-zero entry, which
+    # add +-0 to a sum started at +0; on numpy's baseline loops as on its dispatched ones
+    rho = _EDGE_STATES[name]
+    assert _raw_born_table(rho).tobytes() == _full_einsum(rho).tobytes()
+    # and it ends as the full einsum does, with the same rows, error or warning
+    assert _outcome(_born_table, rho) == _outcome(_full_born_table, rho)
+
+
+def test_the_born_table_on_random_sparse_matrices_is_the_full_einsum_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        rho = (rng.normal(size=(DIM, DIM)) + 1j * rng.normal(size=(DIM, DIM))) * 10.0 ** rng.integers(-300, 300)
+        rho[rng.random((DIM, DIM)) < rng.random()] = 0.0
+        assert _raw_born_table(rho).tobytes() == _full_einsum(rho).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
