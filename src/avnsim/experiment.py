@@ -17,11 +17,15 @@ index), so reports are bit-reproducible in any order.  A stream is named
 by its key alone, so each thread keeps one Generator on one Philox and
 re-keys it, with plain ints for the state words, before each
 correlation.  The nine Born rows, normalised by one division, are one
-contraction over the non-zero entries of the pairs' projectors (onto
-stabilizer states on 2 or 8 basis states), with the full einsum's bits
-for rho in C order: both sum each row from +0 and add the rows in order
-from +0, and a skipped product with an exact 0 adds +-0, which moves no
-bit as rho is checked finite first.  predict_exact is one full einsum.
+gather of rho's entries at the non-zero entries of the pairs' projectors
+(onto stabilizer states on 2 or 8 basis states) and one ufunc
+multiply-add, each row summed in entry order and the rows added in order
+from +0: the full einsum's order, so its bits, as a skipped product with
+an exact 0 adds +-0 (rho is checked finite first) and no sign of a zero
+outlasts the +0 start.  An np.errstate block keeps the einsum's silence
+on overflow and underflow.  Every path reads rho in C order, since an
+einsum's sum order follows memory layout.  predict_exact is one full
+einsum.
 
 This is the library path for an arbitrary density matrix, and the dense
 oracle in the tests.  `avnsim simulate` and `reproduce-paper` read the
@@ -236,14 +240,17 @@ def estimate_correlation(table: CountTable, corr: Correlation | str) -> Correlat
 
 
 def _born_table(rho: np.ndarray) -> np.ndarray:
-    """The nine outcome distributions of a finite rho in CORRELATIONS order: the stacked einsum's bits from the
-    non-zero entries alone, checked as one table and normalised by one division, each row as d / d.sum()."""
+    """The nine outcome distributions of a finite rho in CORRELATIONS order: the stacked einsum's bits, and its
+    silence on overflow and underflow, from one gather and one multiply-add over the non-zero entries alone;
+    checked as one table and normalised by one division, each row as d / d.sum()."""
     rho = assert_density_shape(rho)
     if not np.isfinite(rho).all():  # a skipped 0 * inf or 0 * NaN would leave some rows finite
         raise ValueError("outcome probabilities are not finite")
     vals, index = _born_support()
-    rows = np.einsum("wrk,wrk->rk", vals, rho.take(index))  # einsum's product, summed from +0 in entry order
-    dists = _probabilities(np.einsum("rk->k", rows).reshape(len(CORRELATIONS), DIM))  # rows in order, warning-free
+    with np.errstate(all="ignore"):  # einsum's silence: a bare ufunc warns, or raises under a caller's errstate
+        rows = (vals * rho.ravel()[index]).sum(0)  # einsum's product, each row summed in entry order
+        table = np.add.reduce(rows, axis=0, initial=0.0)  # the rows in order from +0, so +-0 rows add alike
+    dists = _probabilities(table.reshape(len(CORRELATIONS), DIM))
     dists = dists / dists.sum(axis=1, keepdims=True)
     if not np.isfinite(dists).all():  # NaN passes every comparison in _probabilities
         raise ValueError("outcome probabilities are not finite")

@@ -90,8 +90,8 @@ def assert_observable(obs: np.ndarray, atol: float = ATOL_ALGEBRA) -> np.ndarray
 
 
 def assert_density_shape(rho: np.ndarray) -> np.ndarray:
-    """rho as a complex array, checked only for its 16x16 shape."""
-    rho = np.asarray(rho, dtype=complex)
+    """rho as a complex array in C order, checked only for its 16x16 shape."""
+    rho = np.ascontiguousarray(rho, dtype=complex)  # an einsum's sum order follows rho's memory layout
     if rho.shape != (DIM, DIM):
         raise ValueError(f"density matrix must be {DIM}x{DIM}")
     return rho

@@ -681,3 +681,30 @@ def test_predict_exact_contracts_the_density_matrix_once():
     with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
         predict_exact(rho)
     assert einsum.call_count == 1
+
+
+def _other_layouts(rho):
+    # rho, entry for entry, as a transposed view, a Fortran-ordered copy and a strided slice
+    strided = np.zeros((2 * DIM, 3 * DIM), dtype=complex)
+    strided[::2, ::3] = rho
+    return {"transposed_view": np.ascontiguousarray(rho.T).T, "fortran_copy": np.asfortranarray(rho),
+            "strided_slice": strided[::2, ::3]}
+
+
+@pytest.mark.parametrize("layout", ["transposed_view", "fortran_copy", "strided_slice"])
+def test_each_result_of_a_density_matrix_is_its_c_ordered_copys_bit_for_bit(layout):
+    # an einsum adds its terms in an order that follows the operands' memory layout,
+    # so every path reads rho as a C-ordered copy first
+    rng = np.random.default_rng(78)
+    for _ in range(50):
+        phi, delta = rng.uniform(-math.pi, math.pi, 2)
+        rho = apply_noise(build_psi(SourceConfig(phi)), NoiseModel(*rng.uniform(0.0, 1.0, 3), delta))
+        other = _other_layouts(rho)[layout]
+        assert rho.flags.c_contiguous and not other.flags.c_contiguous
+        assert np.array_equal(other, rho)
+        assert repr(predict_exact(other)) == repr(predict_exact(rho))
+        assert repr(run_schedule(other, Schedule(pair_rate=2.0), 7)) == repr(run_schedule(rho, Schedule(pair_rate=2.0), 7))
+        assert repr(mixed_expectation(bell_operator(), other)) == repr(mixed_expectation(bell_operator(), rho))
+        for corr in CORRELATIONS:
+            pair = context_pair(corr.id)
+            assert outcome_distribution(other, pair).tobytes() == outcome_distribution(rho, pair).tobytes()

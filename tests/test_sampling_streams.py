@@ -253,6 +253,27 @@ def test_the_born_table_on_edge_states_is_the_full_einsum_bit_for_bit(name):
     assert _outcome(_born_table, rho) == _outcome(_full_born_table, rho)
 
 
+def _outcome_under_raise(born_table, rho):
+    # the table's bits, or the error that ends the call, under a caller's np.errstate(all="raise");
+    # the call leaves that error state as it found it
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        try:
+            end = born_table(rho).tobytes()
+        except (ValueError, FloatingPointError) as error:
+            end = type(error), str(error)
+        assert np.geterr() == before
+    return end
+
+
+@pytest.mark.parametrize("name", [n for n in _EDGE_STATES if n.startswith(("subnormal_", "near_1e308", "negative_zeros"))])
+def test_the_born_table_under_a_raising_errstate_ends_as_the_full_einsum(name):
+    # the einsum raises no floating-point error, where a bare ufunc multiply raises
+    # underflow on subnormal products and add raises overflow near 1.7e308
+    rho = _EDGE_STATES[name]
+    assert _outcome_under_raise(_born_table, rho) == _outcome_under_raise(_full_born_table, rho)
+
+
 def test_the_born_table_on_random_sparse_matrices_is_the_full_einsum_bit_for_bit():
     rng = np.random.default_rng(34)
     for _ in range(300):
