@@ -20,8 +20,9 @@ outcome probabilities of its Born row, summed over the non-zero words:
     p(b) = 2^-4 sum_S (prod_{i in S} b_i) E(prod_{i in S} G_i).
 
 This holds because each device is the ideal projective readout of its
-setting (apparatus_vs_projective); the setting pair and the bit order are
-read from the readout table of _tables.  predict prints the M row;
+setting, which tests/test_exact_proofs.py proves in integers from the
+device table of _tables; the setting pair and the bit order are read from
+the readout table of _tables.  predict prints the M row;
 simulate draws from all nine through _sampler, so `avnsim simulate` and
 `reproduce-paper` run without numpy.  Both hand their numbers to _records,
 which builds the report as the dense path does (experiment.predict_exact

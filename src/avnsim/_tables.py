@@ -1,6 +1,7 @@
 """The basis layout, the parties, the twelve local symbols, the six device
-settings and the nine perfect correlations, as plain tables, the readout
-table derived from them, and the tolerance ladder.
+settings and their detection devices (_DEVICES, read by apparatus), and
+the nine perfect correlations, as plain tables, the readout table derived
+from them, and the tolerance ladder.
 
 This module imports nothing outside the standard library, so the
 local-realism certificate (lhv) and the Pauli-frame CLI path (_frame)
@@ -102,6 +103,27 @@ CONTEXT_SYMBOLS: dict[tuple[Party, Setting], tuple[str, str, str]] = {
     (Party.BOB, Setting.A): ("zB", "zB'", "zBzB'"),
     (Party.BOB, Setting.B): ("xB", "xB'", "xBxB'"),
     (Party.BOB, Setting.C): ("zBxB'", "xBzB'", "zBxB'xBzB'"),
+}
+
+
+# the six detection devices, one row per (party, setting): the optical elements
+# in the order the photon meets them, then for generator1 and for generator2 the
+# detector bit that reads it (the analyzer bit reads pol, the exit-port bit path)
+# and the sign of that bit's 0 outcome.  An element is a beam splitter ("bs", the
+# qubit it acts on), a half-wave plate on pol ("hwp", its fast axis in degrees)
+# or the polarizing beam splitter that merges the two paths ("pbs", None)
+_DEVICES = {
+    (Party.ALICE, Setting.A): ((("bs", Dof.POL),), (Dof.PATH, +1), (Dof.POL, +1)),
+    (Party.ALICE, Setting.B): ((("bs", Dof.PATH),), (Dof.POL, +1), (Dof.PATH, +1)),
+    # port R'' collects H-from-L and V-from-R, both zAzA' = -1; the horizontal-axis
+    # HWP flips the sign of V, which lands the xAxA' = +1 eigenstates on the "-"
+    # analyzer output
+    (Party.ALICE, Setting.C): ((("hwp", 0), ("pbs", None), ("bs", Dof.POL)), (Dof.PATH, -1), (Dof.POL, -1)),
+    (Party.BOB, Setting.A): ((), (Dof.POL, +1), (Dof.PATH, +1)),
+    (Party.BOB, Setting.B): ((("bs", Dof.POL), ("bs", Dof.PATH)), (Dof.POL, +1), (Dof.PATH, +1)),
+    # the 22.5-degree HWP routes the xBzB' eigenstates to definite ports, xBzB' = -1
+    # to R'', while the analyzer reads zBxB' on the merged beam
+    (Party.BOB, Setting.C): ((("hwp", 22.5), ("pbs", None), ("bs", Dof.POL)), (Dof.POL, +1), (Dof.PATH, -1)),
 }
 
 

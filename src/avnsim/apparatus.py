@@ -17,22 +17,25 @@ Each party owns three devices, one per setting:
      the +/- polarization basis erases the which-path information and
      reads the second combined variable.
 
-A DetectionModel is four projectors labeled by two signed bits, one bit
-per context generator.  Sign conventions introduced by the Jones matrices
+The devices are described once, in the table _DEVICES of _tables.  A
+DetectionModel is four projectors labeled by two signed bits, one bit per
+context generator.  Sign conventions introduced by the Jones matrices
 (the horizontal-axis half-wave plate flips the sign of V) are absorbed
-into the outcome labeling, exactly as a lab calibration would; the
-equivalence with ideal projective measurement of the context is then an
-independent numerical check, not an assumption.
+into the table's readout signs, exactly as a lab calibration would; the
+equivalence with ideal projective measurement of the context is then
+proved in integers (tests/test_exact_proofs.py) and checked in floats
+(apparatus_vs_projective), not assumed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
+from ._tables import _DEVICES, Dof
 from .observables import Setting, context
 from .qstate import DIM, ID2, KET_MINUS, KET_PLUS, Party, dagger
 from .source import NoiseModel, apply_noise, build_psi
@@ -105,69 +108,33 @@ class DetectionModel:
         return p
 
 
-def _device_recipe(party: Party, setting: Setting):
-    """4x4 device unitary and detector-bit labelers.
-
-    The unitary maps the incoming (pol x path) state to the detector
-    basis: pol bit p = analyzer output, path bit q = exit port.  The two
-    labelers turn (p, q) into the signed readouts of generator1 and
-    generator2 of the matching context.
-    """
-    if setting is Setting.A:
-        if party is Party.ALICE:
-            # read path directly (z'), analyze polarization at +/-45 (x)
-            unitary = np.kron(bs_transform(), ID2)
-            bit1 = lambda p, q: +1 if q == 0 else -1  # z'A from the path
-            bit2 = lambda p, q: +1 if p == 0 else -1  # xA from the analyzer
-        else:
-            # read both path (z') and polarization (z) in the native bases
-            unitary = np.kron(ID2, ID2)
-            bit1 = lambda p, q: +1 if p == 0 else -1  # zB
-            bit2 = lambda p, q: +1 if q == 0 else -1  # zB'
-    elif setting is Setting.B:
-        if party is Party.ALICE:
-            # beam splitter reads x', polarization analyzed in H/V (z)
-            unitary = np.kron(ID2, bs_transform())
-            bit1 = lambda p, q: +1 if p == 0 else -1  # zA
-            bit2 = lambda p, q: +1 if q == 0 else -1  # xA' from the port
-        else:
-            unitary = np.kron(bs_transform(), bs_transform())
-            bit1 = lambda p, q: +1 if p == 0 else -1  # xB
-            bit2 = lambda p, q: +1 if q == 0 else -1  # xB'
-    else:
-        hwp_angle = 0.0 if party is Party.ALICE else math.pi / 8.0
-        hwp = hwp_transform(hwp_angle)
-        unitary = np.kron(bs_transform(), ID2) @ pbs_merge() @ np.kron(hwp, ID2)
-        if party is Party.ALICE:
-            # port R'' collects H-from-L and V-from-R, both zAzA' = -1;
-            # the horizontal-axis HWP flips the sign of V, which lands the
-            # xAxA' = +1 eigenstates on the "-" analyzer output
-            bit1 = lambda p, q: -1 if q == 0 else +1  # zAzA' from the port
-            bit2 = lambda p, q: -1 if p == 0 else +1  # xAxA' from the analyzer
-        else:
-            # the 22.5-degree HWPs route the xBzB' eigenstates to definite
-            # ports while the analyzer reads zBxB' on the merged beam
-            bit1 = lambda p, q: +1 if p == 0 else -1  # zBxB' from the analyzer
-            bit2 = lambda p, q: -1 if q == 0 else +1  # xBzB' from the port
-    return unitary, bit1, bit2
+def _element(kind: str, arg) -> np.ndarray:
+    """The 4x4 (pol x path) matrix of one optical element of a _DEVICES row."""
+    if kind == "pbs":
+        return pbs_merge()
+    if kind == "hwp":
+        return np.kron(hwp_transform(math.radians(arg)), ID2)
+    return np.kron(ID2, bs_transform()) if arg is Dof.PATH else np.kron(bs_transform(), ID2)
 
 
 @lru_cache(maxsize=None)
 def build_apparatus(party: Party, setting: Setting) -> DetectionModel:
-    """Detection model of the physical device, projectors lifted to 16 dim."""
-    unitary, bit1_of, bit2_of = _device_recipe(party, setting)
+    """Detection model of the device in the _DEVICES row of (party, setting), projectors lifted to 16 dim.
+
+    The unitary, the row's elements with the first one met rightmost, maps
+    (pol x path) to the detector basis |p q>: analyzer bit p, exit-port bit q.
+    """
+    elements, *readouts = _DEVICES[party, setting]
+    eye = np.eye(4, dtype=complex)
+    unitary = reduce(np.matmul, [_element(*element) for element in reversed(elements)] or [eye])
     outcomes = []
-    for p in (0, 1):
-        for q in (0, 1):
-            det = np.zeros(4, dtype=complex)
-            det[2 * p + q] = 1.0
-            proj4 = dagger(unitary) @ np.outer(det, det.conj()) @ unitary
-            if party is Party.ALICE:
-                proj16 = np.kron(proj4, np.eye(4, dtype=complex))
-            else:
-                proj16 = np.kron(np.eye(4, dtype=complex), proj4)
-            proj16.setflags(write=False)
-            outcomes.append(OutcomeChannel(bit1_of(p, q), bit2_of(p, q), proj16))
+    for d, det in enumerate(eye):
+        proj4 = dagger(unitary) @ np.outer(det, det.conj()) @ unitary
+        proj16 = np.kron(proj4, eye) if party is Party.ALICE else np.kron(eye, proj4)
+        proj16.setflags(write=False)
+        bits = {Dof.POL: d >> 1, Dof.PATH: d & 1}
+        bit1, bit2 = (sign * (-1) ** bits[dof] for dof, sign in readouts)
+        outcomes.append(OutcomeChannel(bit1, bit2, proj16))
     outcomes.sort(key=lambda ch: (-ch.bit1, -ch.bit2))
     return DetectionModel(party, setting, tuple(outcomes))
 

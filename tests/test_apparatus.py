@@ -1,10 +1,14 @@
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from avnsim._tables import Dof
 from avnsim.apparatus import (
     DEFAULT_FRINGE_ANGLES,
+    _element,
     apparatus_vs_projective,
     bs_transform,
     build_apparatus,
@@ -17,15 +21,20 @@ from avnsim.apparatus import (
 from avnsim.observables import Setting, context
 from avnsim.qstate import (
     DIM,
+    ID2,
     KET_H,
     KET_L,
     KET_PLUS,
     KET_R,
     KET_V,
+    PAULI_X,
+    PAULI_Z,
     Party,
     tensor4,
 )
 from avnsim.source import NoiseModel, build_psi
+
+import test_exact_proofs as proofs  # the integer gate rules of the device proof
 
 ALL_DEVICES = [(party, setting) for party in Party for setting in Setting]
 
@@ -64,7 +73,61 @@ class TestElements:
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) == 0.0
 
 
+# the matrices of the exact proof's gates on one party's (pol, path) pair; the CNOT's control is pol
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_GATES = {
+    ("H", Dof.POL): np.kron(_H, ID2),
+    ("H", Dof.PATH): np.kron(ID2, _H),
+    ("Z", Dof.POL): np.kron(PAULI_Z, ID2),
+    ("X", Dof.POL): np.kron(PAULI_X, ID2),
+    ("CNOT", Dof.POL): _CNOT,
+}
+
+
+def _alice_word(p):
+    """The 4x4 matrix of a word i^k X^x Z^z on Alice's qubits, pol on index bit 8 and path on 4."""
+    x, z, k = p
+    pol, path = (np.linalg.matrix_power(PAULI_X, x >> b & 1) @ np.linalg.matrix_power(PAULI_Z, z >> b & 1) for b in (3, 2))
+    return 1j**k * np.kron(pol, path)
+
+
+class TestElementsAreTheExactProofsGates:
+    # tests/test_exact_proofs.py conjugates words through each device's gates
+    # in integers; these tie its rules and gates to the matrices the devices use
+
+    def test_beam_splitter_is_h_bit_for_bit(self):
+        assert bs_transform().tobytes() == _H.tobytes()
+
+    def test_hwp_at_zero_is_z_bit_for_bit(self):
+        assert hwp_transform(0.0).tobytes() == PAULI_Z.tobytes()
+
+    def test_hwp_at_22p5_degrees_is_h_within_one_ulp(self):
+        assert np.all(np.abs(hwp_transform(math.pi / 8.0) - _H) <= np.spacing(np.abs(_H)))
+
+    def test_pbs_merge_is_x_cnot_x_bit_for_bit(self):
+        x_pol = _GATES["X", Dof.POL]
+        assert pbs_merge().tobytes() == (x_pol @ _CNOT @ x_pol).tobytes()
+
+    @pytest.mark.parametrize("element", list(proofs._ELEMENT_GATES), ids=repr)
+    def test_each_element_matrix_is_the_product_of_its_gates(self, element):
+        gates = reduce(np.matmul, [_GATES[gate] for gate in proofs._ELEMENT_GATES[element]])
+        assert np.all(np.abs(_element(*element) - gates) <= np.spacing(1.0) / 2)
+
+    @pytest.mark.parametrize("gate", list(_GATES), ids=repr)
+    def test_each_gate_rule_is_the_conjugation_by_its_matrix(self, gate):
+        g = _GATES[gate]
+        for p in itertools.product(range(0, 16, 4), range(0, 16, 4), range(4)):
+            assert np.allclose(g @ _alice_word(p) @ g, _alice_word(proofs._conjugate(p, gate, Party.ALICE)), rtol=0, atol=1e-15), p
+
+
 class TestDetectionModels:
+    @pytest.mark.parametrize("party, setting", [(Party.ALICE, "a"), ("Alice", Setting.A)])
+    def test_a_key_outside_the_enums_is_refused(self, party, setting):
+        # only a (Party, Setting) pair names a device, never a look-alike string
+        with pytest.raises(KeyError):
+            build_apparatus(party, setting)
+
     @pytest.mark.parametrize("party,setting", ALL_DEVICES)
     def test_projectors_complete_and_orthogonal(self, party, setting):
         model = build_apparatus(party, setting)

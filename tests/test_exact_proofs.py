@@ -10,6 +10,12 @@ The local-realist side: the certificate's histogram is the closed form
 of its GF(2) system, 16 C(9, 9 - k) for odd 9 - k, from rank 8 and sign
 weight 5, so no assignment meets all nine constraints.
 
+The devices: each of the six detection devices of _tables._DEVICES is a
+Clifford circuit on its party's (pol, path) qubits, so the observable one
+of its detector bits reads, U^dag (sign Z) U, is a Pauli word found by
+integer conjugation rules, and it is the generator of the setting that
+the readout table assigns to that bit, sign included.
+
 This file imports neither numpy nor hypothesis, so the numpy-free CI job
 runs it on every interpreter.
 """
@@ -20,7 +26,7 @@ import pytest
 
 from avnsim import _frame, lhv
 from avnsim._records import NoiseModel, SourceConfig
-from avnsim._tables import CORRELATION_IDS, CORRELATIONS
+from avnsim._tables import CONTEXT_SYMBOLS, CORRELATION_IDS, CORRELATIONS, Dof, _DEVICES, _QUBIT_WEIGHT
 from avnsim.lhv import CONSTRAINTS, SYMBOLS, avn_audit, certificate
 
 # the ideal state's amplitudes on |HRVL>, |HLVR>, |VRHL>, |VLHR>, doubled
@@ -102,3 +108,52 @@ def _gf2_rank(words):
             low = pivot & -pivot
             rows = [row ^ pivot if row & low else row for row in rows]
     return rank
+
+
+# the integer rules of each optical element a _DEVICES row may list, as
+# Hermitian Clifford gates on its party's qubits in matrix-product order:
+# the beam splitter and the 22.5-degree half-wave plate are Hadamards, the
+# 0-degree plate is Z, and the PBS merge is X_pol CNOT(pol -> path) X_pol
+_ELEMENT_GATES = {
+    ("bs", Dof.POL): (("H", Dof.POL),),
+    ("bs", Dof.PATH): (("H", Dof.PATH),),
+    ("hwp", 0): (("Z", Dof.POL),),
+    ("hwp", 22.5): (("H", Dof.POL),),
+    ("pbs", None): (("X", Dof.POL), ("CNOT", Dof.POL), ("X", Dof.POL)),
+}
+
+
+def _conjugate(p, gate, party):
+    """The word G p G of a Hermitian gate G = (name, qubit) on party's qubits; a CNOT's target is the other qubit."""
+    x, z, k = p
+    name, dof = gate
+    w = _QUBIT_WEIGHT[party, dof]
+    if name == "H":  # X <-> Z, and XZ -> ZX = -XZ
+        swap = (x ^ z) & w
+        return x ^ swap, z ^ swap, (k + 2 * bool(x & z & w)) % 4
+    if name == "Z":  # X -> -X
+        return x, z, (k + 2 * bool(x & w)) % 4
+    if name == "X":  # Z -> -Z
+        return x, z, (k + 2 * bool(z & w)) % 4
+    # CNOT: X_c -> X_c X_t and Z_t -> Z_c Z_t, so X^x Z^z keeps its phase
+    t = _QUBIT_WEIGHT[party, Dof.PATH if dof is Dof.POL else Dof.POL]
+    return x ^ (t if x & w else 0), z ^ (w if z & t else 0), k
+
+
+def _measured_word(party, setting, readout):
+    """The word U^dag (sign Z) U one detector bit reads, U = E_n ... E_1 the row's elements, E_n conjugated first."""
+    elements = _DEVICES[party, setting][0]
+    dof, sign = readout
+    p = (0, _QUBIT_WEIGHT[party, dof], 0 if sign > 0 else 2)
+    for element in reversed(elements):
+        for gate in _ELEMENT_GATES[element]:
+            p = _conjugate(p, gate, party)
+    return p
+
+
+def test_each_device_reads_its_settings_generators_with_their_signs():
+    # the device claim in integers: all twelve readouts of the six devices are
+    # the generator words CONTEXT_SYMBOLS lists, each word the product of its
+    # symbol's _tables._factors
+    measured = {key: [_measured_word(*key, readout) for readout in row[1:]] for key, row in _DEVICES.items()}
+    assert measured == {key: [_frame.word(g) for g in symbols[:2]] for key, symbols in CONTEXT_SYMBOLS.items()}
