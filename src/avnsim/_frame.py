@@ -37,7 +37,8 @@ from collections import namedtuple
 from functools import reduce
 
 from . import _sampler
-from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, _distributions, _exact_report, _left_sum, _sampled_report
+from ._records import ExperimentReport, NoiseModel, Schedule, SourceConfig, check_seed
+from ._records import _distributions, _exact_report, _left_sum, _sampled_report
 from ._tables import ATOL_ALGEBRA, CONTEXT_SYMBOLS, CORRELATIONS, Party, _factors, _setting_pair
 from ._tables import _PATH, _POL, _QUBIT_WEIGHT, _SOURCE_SLOTS, _WEIGHTS  # the basis layout
 
@@ -119,10 +120,12 @@ def predict(source: SourceConfig, noise: NoiseModel) -> ExperimentReport:
 
 def simulate(source: SourceConfig, noise: NoiseModel, schedule: Schedule, seed: int) -> ExperimentReport:
     """experiment.run_schedule on the frame's Born rows, drawn by numpy's algorithms in _sampler:
-    a Poisson number of events and their counts from each correlation's (seed, index) Philox stream."""
+    a Poisson number of events and their counts from each correlation's (seed, index) Philox stream.
+    The seed is checked once, before any draw."""
+    key = check_seed(seed)
     rows = []
     for idx, (corr, dist) in enumerate(zip(CORRELATIONS, born_rows(source, noise))):
-        bits = _sampler.Philox(seed, idx)
+        bits = _sampler.Philox(key, idx)
         n = _sampler.poisson(bits, schedule.mean_counts(corr.id))
         rows.append(_sampler.multinomial(bits, n, _sampler.normalise(dist)))
     return _sampled_report(rows, schedule, seed)

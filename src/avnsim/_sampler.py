@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-from ._records import check_seed
-
 _MASK = (1 << 64) - 1
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -35,13 +33,17 @@ _ROUNDS = 10
 
 
 class Philox:
-    """The Philox4x64-10 stream of key (seed, index), from its start."""
+    """The Philox4x64-10 stream keyed (key, index), from its start.
+
+    Precondition: key and index are ints in [0, 2**64).  The key is a seed
+    the caller has checked once (_records.check_seed), as _frame.simulate
+    does; a key outside the range would alias another key's stream.
+    """
 
     __slots__ = ("_keys", "_counter", "_buffer")
 
-    def __init__(self, seed: int, index: int):
-        k0, k1 = check_seed(seed), index
-        self._keys = [((k0 + r * _WEYL[0]) & _MASK, (k1 + r * _WEYL[1]) & _MASK) for r in range(_ROUNDS)]
+    def __init__(self, key: int, index: int):
+        self._keys = [((key + r * _WEYL[0]) & _MASK, (index + r * _WEYL[1]) & _MASK) for r in range(_ROUNDS)]
         self._counter = 0
         self._buffer: list[int] = []
 

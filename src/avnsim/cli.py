@@ -9,7 +9,6 @@ or configuration error.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -26,6 +25,8 @@ FORMATS = ("json", "csv", "text")
 
 # reproduction floor of the calibrated four-parameter noise model
 E_ROW_MODEL_TOLERANCE = 0.025
+# a report's metrics after its correlation rows, in the csv and text formats
+_AGGREGATES = ("bell_value", "bell_stderr", "sigma_violation", "m_fidelity")
 
 
 # ---------------------------------------------------------------- serializers
@@ -74,19 +75,12 @@ def to_json(obj, indent: int = 0) -> str:
 
 
 def report_csv(doc: dict) -> str:
-    """One row per correlation, then the aggregate metrics."""
-    import csv  # only the csv format needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "sign", "E", "stderr", "n"])
-    for row in doc["correlations"]:
-        writer.writerow(
-            [row["id"], row["sign"], _format_float(row["E"]), _format_float(row["stderr"]), row["n"]]
-        )
-    for key in ("bell_value", "bell_stderr", "sigma_violation", "m_fidelity"):
-        writer.writerow([key, "", _format_float(doc[key]), "", ""])
-    return buf.getvalue()
+    """One row per correlation, then the aggregate metrics.  No field needs quoting:
+    the ids, keys and signs are fixed, the counts are integers and the rest _format_float strings."""
+    rows = [("id", "sign", "E", "stderr", "n")]
+    rows += [(r["id"], r["sign"], _format_float(r["E"]), _format_float(r["stderr"]), r["n"]) for r in doc["correlations"]]
+    rows += [(key, "", _format_float(doc[key]), "", "") for key in _AGGREGATES]
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 BAR_WIDTH = 40
@@ -115,8 +109,7 @@ def report_text(doc: dict, lr_panel=None, qm_panel=None) -> str:
         lines.append(
             f"{row['id']:<10} {row['sign']:>+4d} {row['E']:>12.8f} {row['stderr']:>12.8f} {row['n']:>8d}"
         )
-    for key in ("bell_value", "bell_stderr", "sigma_violation", "m_fidelity"):
-        lines.append(f"{key} = {doc[key]:.8f}")
+    lines += [f"{key} = {doc[key]:.8f}" for key in _AGGREGATES]
     lines.append("")
     if lr_panel is not None:
         lines.extend(render_histogram("M outcomes, LR prediction", lr_panel))
@@ -152,10 +145,7 @@ def load_config(path: str | None) -> dict:
 
 
 def build_run_config(raw: dict, args: dict) -> RunConfig:
-    known = {"source", "noise", "schedule", "seed", "output_format"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    _records._config_block(raw, "config", RunConfig._fields)
     seed = raw.get("seed", DEFAULT_SEED)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError("seed must be an integer")
@@ -178,55 +168,53 @@ def build_run_config(raw: dict, args: dict) -> RunConfig:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_predict(config: RunConfig) -> tuple[str, int]:
-    """The exact report in closed form, from the Pauli frame (_frame), without numpy.
+def cmd_report(command: str, config: RunConfig) -> tuple[str, int]:
+    """predict's exact report or simulate's seeded counting run, from the Pauli frame (_frame), without numpy.
 
-    experiment.predict_exact on the dense density matrix is the frame's
-    oracle in the tests.
+    predict is the report in closed form; simulate draws on the frame's Born
+    rows by the port of numpy's sampler (_sampler).  experiment.predict_exact
+    and run_schedule on the dense density matrix are their oracles in the tests.
     """
-    doc = _frame.predict(config.source, config.noise).to_dict()
-    if config.output_format == "csv":
-        return report_csv(doc), 0
-    if config.output_format == "text":
-        return report_text(doc, lr_panel=lhv.lr_m_histogram()), 0
-    return to_json(doc) + "\n", 0
-
-
-def cmd_simulate(config: RunConfig) -> tuple[str, int]:
-    """A seeded counting run on the frame's Born rows, drawn by the port of numpy's sampler, without numpy."""
-    report = _frame.simulate(config.source, config.noise, config.schedule, config.seed)
+    source, noise = config.source, config.noise
+    simulated = command == "simulate"
+    report = _frame.simulate(source, noise, config.schedule, config.seed) if simulated else _frame.predict(source, noise)
     doc = report.to_dict()
     if config.output_format == "csv":
         return report_csv(doc), 0
     if config.output_format == "text":
-        exact = _frame.predict(config.source, config.noise)
-        return report_text(doc, lr_panel=lhv.lr_m_histogram(), qm_panel=exact.m_histogram), 0
+        qm_panel = _frame.predict(source, noise).m_histogram if simulated else None
+        return report_text(doc, lr_panel=lhv.lr_m_histogram(), qm_panel=qm_panel), 0
     return to_json(doc) + "\n", 0
 
 
 def cmd_lhv(output_format: str) -> tuple[str, int]:
     cert = lhv.certificate()
     code = 0 if cert["ok"] else 1
-    if output_format == "text":
-        lines = ["local-realistic assignment audit"]
-        lines.append(f"{'k':>2} {'required':>9}  constraint")
-        for c in cert["constraints"]:
-            product = " * ".join(f"m({s})" for s in c["symbols"])
-            lines.append(f"{c['index']:>2} {c['required_sign']:>+9d}  {product}")
-        lines.append("")
-        lines.append(f"assignments checked: {cert['assignment_count']}")
-        lines.append(f"satisfying all nine: {cert['all_nine_count']}")
-        lines.append(f"maximum satisfied:   {cert['max_satisfied']} ({cert['assignments_at_max']} assignments)")
-        hist = cert["histogram_by_satisfied_count"]
-        lines.append("histogram by satisfied count: " + ", ".join(f"{k}:{v}" for k, v in enumerate(hist) if v))
-        lines.append(f"Bell quantity maximum: {cert['lr_bound']['max_value']}  minimum: {cert['lr_bound']['min_value']}")
-        lines.append(f"parity witness: {cert['parity_witness']}")
-        lines.append("")
-        lines.extend(render_histogram("M outcomes, LR prediction", cert["lr_m_histogram"]))
-        lines.append("")
-        lines.append("certificate " + ("OK" if cert["ok"] else "FAILED"))
-        return "\n".join(lines) + "\n", code
-    return to_json(cert) + "\n", code
+    if output_format != "text":
+        return to_json(cert) + "\n", code
+    hist = cert["histogram_by_satisfied_count"]
+    lines = [
+        "local-realistic assignment audit",
+        f"{'k':>2} {'required':>9}  constraint",
+        *(f"{c['index']:>2} {c['required_sign']:>+9d}  " + " * ".join(f"m({s})" for s in c["symbols"])
+          for c in cert["constraints"]),
+        "",
+        f"assignments checked: {cert['assignment_count']}",
+        f"satisfying all nine: {cert['all_nine_count']}",
+        f"maximum satisfied:   {cert['max_satisfied']} ({cert['assignments_at_max']} assignments)",
+        "histogram by satisfied count: " + ", ".join(f"{k}:{v}" for k, v in enumerate(hist) if v),
+        f"Bell quantity maximum: {cert['lr_bound']['max_value']}  minimum: {cert['lr_bound']['min_value']}",
+        f"parity witness: {cert['parity_witness']}",
+        "",
+        *render_histogram("M outcomes, LR prediction", cert["lr_m_histogram"]),
+        "",
+        "certificate " + ("OK" if cert["ok"] else "FAILED"),
+    ]
+    return "\n".join(lines) + "\n", code
+
+
+# the comparison's columns, one record per row
+_ROW_KEYS = ("name", "paper", "derived_from_paper", "exact_qm", "simulated", "tolerance", "pass")
 
 
 def _reproduce_document(seed: int) -> dict:
@@ -236,103 +224,65 @@ def _reproduce_document(seed: int) -> dict:
     exact_ideal = _frame.predict(phi0, _records.NoiseModel())
     simulated = _frame.simulate(phi0, fit.model, reference.matched_schedule(), seed)
 
-    rows = []
-    all_pass = True
-
-    def add_row(name, paper, derived, exact_qm, sim, tolerance, passed):
-        nonlocal all_pass
-        all_pass = all_pass and passed
-        rows.append(
-            {
-                "name": name,
-                "paper": paper,
-                "derived_from_paper": derived,
-                "exact_qm": exact_qm,
-                "simulated": sim,
-                "tolerance": tolerance,
-                "pass": passed,
-            }
-        )
-
     # the four-parameter noise model reproduces the measured table with a
     # structural residual of up to ~0.021 per row (it ties E(X'X') to
     # E(Z-X'-ZX') exactly), so E rows pass at that model floor plus a
-    # sampling margin rather than at pure counting precision
-    for cid, (e_meas, de_meas) in reference.MEASURED_CORRELATIONS.items():
+    # sampling margin rather than at pure counting precision; E(M) is
+    # judged against the value derived from the paper
+    def e_row(cid, paper, derived):
         est = simulated.estimate(cid)
         tol = E_ROW_MODEL_TOLERANCE + 3.0 * est.stderr
-        add_row(
-            f"E({cid})",
-            e_meas,
-            None,
-            exact_ideal.estimate(cid).E,
-            est.E,
-            tol,
-            abs(est.E - e_meas) <= tol,
-        )
-    est_m = simulated.estimate("M")
-    e_m = reference.derived_m_value()
-    tol_m = E_ROW_MODEL_TOLERANCE + 3.0 * est_m.stderr
-    add_row("E(M)", None, e_m, exact_ideal.estimate("M").E, est_m.E, tol_m, abs(est_m.E - e_m) <= tol_m)
+        target = paper if derived is None else derived
+        return f"E({cid})", paper, derived, exact_ideal.estimate(cid).E, est.E, tol, abs(est.E - target) <= tol
 
-    add_row(
-        "bell_value",
-        reference.BELL_VALUE,
-        None,
-        exact_ideal.bell_value,
-        simulated.bell_value,
-        0.05,
-        abs(simulated.bell_value - reference.BELL_VALUE) <= 0.05,
-    )
-    sigma_derived = reference.sigma_ratio()
-    sigma_pass = (
-        abs(sigma_derived - reference.QUOTED_SIGMA) <= 1.0
-        and abs(simulated.sigma_violation - reference.QUOTED_SIGMA) <= 0.2 * reference.QUOTED_SIGMA
-    )
-    add_row("sigma_violation", reference.QUOTED_SIGMA, sigma_derived, None, simulated.sigma_violation, None, sigma_pass)
+    rows = [e_row(cid, e_meas, None) for cid, (e_meas, _) in reference.MEASURED_CORRELATIONS.items()]
+    rows.append(e_row("M", None, reference.derived_m_value()))
     # m_fidelity is (1 - E(M))/2, so it is judged by the E(M) row's rule at half scale
+    tol_fid = rows[-1][_ROW_KEYS.index("tolerance")] / 2.0
+    bell, sigma = reference.BELL_VALUE, reference.QUOTED_SIGMA
+    sigma_derived = reference.sigma_ratio()
     fid_derived = reference.derived_m_fidelity()
-    tol_fid = tol_m / 2.0
-    fid_pass = (
-        abs(fid_derived - reference.QUOTED_FIDELITY) <= 0.005
-        and abs(simulated.m_fidelity - fid_derived) <= tol_fid
-    )
-    add_row("m_fidelity", reference.QUOTED_FIDELITY, fid_derived, exact_ideal.m_fidelity, simulated.m_fidelity, tol_fid, fid_pass)
     vis_derived = reference.mean_absolute_correlation()
     vis_sim = _records._left_sum([abs(est.E) for est in simulated.estimates]) / 9.0
-    vis_pass = (
-        abs(vis_derived - reference.QUOTED_VISIBILITY) <= 0.005
-        and abs(vis_sim - vis_derived) <= 0.005
-    )
-    add_row("visibility", reference.QUOTED_VISIBILITY, vis_derived, 1.0, vis_sim, None, vis_pass)
-
+    rows += [
+        ("bell_value", bell, None, exact_ideal.bell_value, simulated.bell_value, 0.05,
+         abs(simulated.bell_value - bell) <= 0.05),
+        ("sigma_violation", sigma, sigma_derived, None, simulated.sigma_violation, None,
+         abs(sigma_derived - sigma) <= 1.0 and abs(simulated.sigma_violation - sigma) <= 0.2 * sigma),
+        ("m_fidelity", reference.QUOTED_FIDELITY, fid_derived, exact_ideal.m_fidelity, simulated.m_fidelity, tol_fid,
+         abs(fid_derived - reference.QUOTED_FIDELITY) <= 0.005 and abs(simulated.m_fidelity - fid_derived) <= tol_fid),
+        ("visibility", reference.QUOTED_VISIBILITY, vis_derived, 1.0, vis_sim, None,
+         abs(vis_derived - reference.QUOTED_VISIBILITY) <= 0.005 and abs(vis_sim - vis_derived) <= 0.005),
+    ]
+    rows = [dict(zip(_ROW_KEYS, row)) for row in rows]
     return {
         "seed": seed,
         "fitted_noise": fit.model.to_dict(),
         "fit_residual": fit.residual,
         "exact_bell_of_fitted_model": exact_fitted.bell_value,
         "rows": rows,
-        "all_pass": all_pass,
+        "all_pass": all(row["pass"] for row in rows),
     }
+
+
+def _cell(x) -> str:
+    return f"{'-':>12}" if x is None else format(x, "12.5f")
 
 
 def cmd_reproduce_paper(seed: int, output_format: str) -> tuple[str, int]:
     doc = _reproduce_document(seed)
     code = 0 if doc["all_pass"] else 1
-    if output_format == "text":
-        lines = ["comparison against the published values"]
-        lines.append(f"fitted noise: {doc['fitted_noise']}")
-        lines.append(f"{'row':<16} {'paper':>12} {'derived':>12} {'exact QM':>12} {'simulated':>12}  pass")
-        for row in doc["rows"]:
-            def fmt(x):
-                return f"{'-':>12}" if x is None else format(x, "12.5f")
-            lines.append(
-                f"{row['name']:<16} {fmt(row['paper'])} {fmt(row['derived_from_paper'])} "
-                f"{fmt(row['exact_qm'])} {fmt(row['simulated'])}  {'yes' if row['pass'] else 'NO'}"
-            )
-        lines.append("all rows pass" if doc["all_pass"] else "SOME ROWS FAILED")
-        return "\n".join(lines) + "\n", code
-    return to_json(doc) + "\n", code
+    if output_format != "text":
+        return to_json(doc) + "\n", code
+    lines = [
+        "comparison against the published values",
+        f"fitted noise: {doc['fitted_noise']}",
+        f"{'row':<16} {'paper':>12} {'derived':>12} {'exact QM':>12} {'simulated':>12}  pass",
+        *(f"{row['name']:<16} " + " ".join(_cell(row[key]) for key in _ROW_KEYS[1:5]) + ("  yes" if row["pass"] else "  NO")
+          for row in doc["rows"]),
+        "all rows pass" if doc["all_pass"] else "SOME ROWS FAILED",
+    ]
+    return "\n".join(lines) + "\n", code
 
 
 # --------------------------------------------------------------------- main
@@ -404,23 +354,23 @@ def _emit(payload: str, out_path: str | None) -> None:
             fh.write(payload)
 
 
+# the documents that have only the json and text forms
+_NO_CSV = {"lhv": "lhv certificate", "reproduce-paper": "comparison document"}
+
+
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
+    command, output_format = args["command"], args["format"] or "json"
     try:
-        if args["command"] in ("predict", "simulate"):
-            config = build_run_config(load_config(args["config"]), args)
-            payload, code = (cmd_predict if args["command"] == "predict" else cmd_simulate)(config)
-        elif args["command"] == "lhv":
-            fmt = args["format"] or "json"
-            if fmt == "csv":
-                raise ValueError("the lhv certificate has no CSV form; use json or text")
-            payload, code = cmd_lhv(fmt)
+        if command in ("predict", "simulate"):
+            payload, code = cmd_report(command, build_run_config(load_config(args["config"]), args))
+        elif output_format == "csv":
+            raise ValueError(f"the {_NO_CSV[command]} has no CSV form; use json or text")
+        elif command == "lhv":
+            payload, code = cmd_lhv(output_format)
         else:
-            fmt = args["format"] or "json"
-            if fmt == "csv":
-                raise ValueError("the comparison document has no CSV form; use json or text")
             seed = _records.check_seed(args["seed"] if args["seed"] is not None else DEFAULT_SEED)
-            payload, code = cmd_reproduce_paper(seed, fmt)
+            payload, code = cmd_reproduce_paper(seed, output_format)
         _emit(payload, args["out"])
     except (ValueError, KeyError, OSError) as exc:
         print(f"avnsim: error: {exc}", file=sys.stderr)

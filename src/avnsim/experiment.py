@@ -188,13 +188,6 @@ def _rekey(bits: np.random.Philox, key: int, stream_index: int) -> None:
                   "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _stream(seed: int, stream_index: int, bits: np.random.Philox | None = None) -> np.random.Generator:
-    """The (seed, stream index) Philox stream from its start, on bits re-keyed if given."""
-    bits = np.random.Philox() if bits is None else bits
-    _rekey(bits, check_seed(seed), stream_index)
-    return np.random.Generator(bits)
-
-
 # each thread's Generator for run_schedule and sample_events, built on the thread's first draw
 _THREAD = threading.local()
 

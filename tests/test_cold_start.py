@@ -20,12 +20,15 @@ DATA = os.path.join(TESTS, "data")
 
 # numpy and dataclasses belong to the dense path; argparse, with the gettext
 # and locale it imports, to the old parser; typing and numbers to annotations
-# and to the numeric ABCs, which only a numpy scalar needs
-BLOCKED = ("numpy", "dataclasses", "argparse", "gettext", "locale", "typing", "numbers")
+# and to the numeric ABCs, which only a numpy scalar needs; the csv format
+# needs no csv module, since none of its fields can need quoting
+BLOCKED = ("numpy", "dataclasses", "argparse", "gettext", "locale", "typing", "numbers", "csv")
 
 COMMANDS = [
     ("predict.json", ["predict"]),
+    ("predict.csv", ["predict", "--format", "csv"]),
     ("simulate.json", ["simulate", "--seed", "0"]),
+    ("simulate.csv", ["simulate", "--seed", "0", "--format", "csv"]),
     ("lhv.json", ["lhv"]),
     ("reproduce.json", ["reproduce-paper", "--seed", "0"]),
 ]
@@ -39,7 +42,7 @@ def run_blocked(site_dir, *args):
     return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args], capture_output=True, env=env)
 
 
-@pytest.mark.parametrize("name, args", COMMANDS, ids=[args[0] for _, args in COMMANDS])
+@pytest.mark.parametrize("name, args", COMMANDS, ids=[args[0] if name.endswith(".json") else name for name, args in COMMANDS])
 def test_command_runs_without_the_blocked_modules(name, args, tmp_path):
     proc = run_blocked(tmp_path, "-m", "avnsim", *args)
     assert (proc.returncode, proc.stderr) == (0, b"")

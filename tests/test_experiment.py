@@ -21,7 +21,6 @@ from avnsim.experiment import (
     _draw_counts,
     _joint_projectors,
     _statistic_signs,
-    _stream,
 )
 from avnsim._records import _estimate
 from avnsim._tables import _READOUT
@@ -38,6 +37,7 @@ from avnsim.observables import (
 from avnsim.qstate import DIM, ConsistencyError, Party, mixed_expectation
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
 from avnsim import _frame, experiment, reference
+from test_sampling_streams import _fresh  # numpy's own Philox, keyed (seed, index)
 
 PSI = build_psi(0.0)
 RHO_IDEAL = np.outer(PSI, PSI.conj())
@@ -178,7 +178,7 @@ def test_run_schedule_equals_a_per_row_reference_loop(seed, pair_rate):
     schedule = Schedule(pair_rate=pair_rate)
     report = run_schedule(rho, schedule, seed)
     for idx, corr in enumerate(CORRELATIONS):
-        rng = _stream(seed, idx)
+        rng = np.random.Generator(_fresh(seed, idx))
         n = int(rng.poisson(schedule.mean_counts(corr.id)))
         est = report.estimates[idx]
         if n == 0:
@@ -479,7 +479,7 @@ def test_run_schedule_m_fidelity_is_the_count_of_odd_outcomes_over_n(seed, pair_
     schedule = Schedule(pair_rate=pair_rate)
     report = run_schedule(rho, schedule, seed)
     idx = CORRELATION_IDS.index("M")
-    rng = _stream(seed, idx)
+    rng = np.random.Generator(_fresh(seed, idx))
     n = int(rng.poisson(schedule.mean_counts("M")))
     if n == 0:
         assert math.isnan(report.m_fidelity)

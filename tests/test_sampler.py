@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 
 from avnsim import _records, _sampler, experiment, reference
-from avnsim.experiment import POISSON_LAM_MAX, Schedule, _born_stack, _probabilities, _stream
+from avnsim.experiment import POISSON_LAM_MAX, Schedule, _born_stack, _probabilities
 from avnsim.observables import CORRELATIONS
 from avnsim.qstate import DIM
 from avnsim.source import NoiseModel, SourceConfig, apply_noise, build_psi
+from test_sampling_streams import _fresh  # numpy's own Philox, keyed (seed, index)
 
 SEEDS = [0, 1, 2**32, 2**63, 2**64 - 1]
 DRAWS = 200
@@ -37,20 +38,20 @@ DRAWS = 200
 def test_philox_words_equal_numpys(seed):
     for idx in range(len(CORRELATIONS)):
         bits = _sampler.Philox(seed, idx)
-        want = _stream(seed, idx).bit_generator.random_raw(256).tolist()
+        want = _fresh(seed, idx).random_raw(256).tolist()
         assert [bits.raw() for _ in range(256)] == want, idx
 
 
 def test_philox_doubles_equal_numpys():
     bits = _sampler.Philox(7, 3)
-    assert [bits.double() for _ in range(DRAWS)] == _stream(7, 3).random(DRAWS).tolist()
+    assert [bits.double() for _ in range(DRAWS)] == np.random.Generator(_fresh(7, 3)).random(DRAWS).tolist()
 
 
 @pytest.mark.parametrize("lam", [0.0, np.nextafter(10.0, 0.0), 10.0, 1e6, POISSON_LAM_MAX], ids=repr)
 @pytest.mark.parametrize("seed", [0, 2**63])
 def test_poisson_draws_equal_numpys(lam, seed):
     bits = _sampler.Philox(seed, 4)
-    want = _stream(seed, 4).poisson(lam, DRAWS).tolist()
+    want = np.random.Generator(_fresh(seed, 4)).poisson(lam, DRAWS).tolist()
     assert [_sampler.poisson(bits, float(lam)) for _ in range(DRAWS)] == want
 
 
@@ -82,7 +83,7 @@ BINOMIAL_CASES = {
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_binomial_draws_equal_numpys(n, p, seed):
     bits = _sampler.Philox(seed, 8)
-    want = _stream(seed, 8).binomial(n, p, DRAWS).tolist()
+    want = np.random.Generator(_fresh(seed, 8)).binomial(n, p, DRAWS).tolist()
     assert [_sampler.binomial(bits, n, float(p)) for _ in range(DRAWS)] == want
 
 
@@ -126,7 +127,7 @@ def test_multinomial_counts_equal_numpys_on_run_schedules_tables(run):
     table = _dense_table(rho)
     for seed in range(300):
         for idx, (corr, dist) in enumerate(zip(CORRELATIONS, table)):
-            rng, bits = _stream(seed, idx), _sampler.Philox(seed, idx)
+            rng, bits = np.random.Generator(_fresh(seed, idx)), _sampler.Philox(seed, idx)
             n = int(rng.poisson(schedule.mean_counts(corr.id)))
             assert _sampler.poisson(bits, schedule.mean_counts(corr.id)) == n, (seed, corr.id)
             want = rng.multinomial(n, dist / dist.sum()).tolist()
@@ -180,7 +181,7 @@ def _numpy_outputs(kind, case):
     A draw vector ends with `next_word`, the raw word numpy draws next, so
     a replay that takes one word too many or too few fails.
     """
-    rng = _stream(case["seed"], case["index"])
+    rng = np.random.Generator(_fresh(case["seed"], case["index"]))
     if kind == "philox":
         return {"words": rng.bit_generator.random_raw(16).tolist()}
     if kind == "long_run":

@@ -19,7 +19,6 @@ from avnsim.experiment import (
     _exact_stack,
     _joint_projectors,
     _probabilities,
-    _stream,
     context_pair,
     sample_events,
 )
@@ -48,14 +47,16 @@ def test_one_rekeyed_generator_gives_every_stream_of_a_seed(seed):
     bits = np.random.Philox()
     for idx in range(len(CORRELATIONS)):
         _dirty(bits)
-        first = _stream(seed, idx, bits).bit_generator.random_raw(256)
-        assert np.array_equal(first, _stream(seed, idx).bit_generator.random_raw(256))
+        experiment._rekey(bits, seed, idx)
+        first = bits.random_raw(256)
         assert np.array_equal(first, _fresh(seed, idx).random_raw(256))
         # a second re-key of the same generator, after it has drawn, starts over
         _dirty(bits)
-        assert np.array_equal(_stream(seed, idx, bits).bit_generator.random_raw(256), first)
+        experiment._rekey(bits, seed, idx)
+        assert np.array_equal(bits.random_raw(256), first)
         _dirty(bits)
-        halves = _stream(seed, idx, bits).integers(2**32, size=9, dtype=np.uint32)
+        experiment._rekey(bits, seed, idx)
+        halves = np.random.Generator(bits).integers(2**32, size=9, dtype=np.uint32)
         assert np.array_equal(halves, np.random.Generator(_fresh(seed, idx)).integers(2**32, size=9, dtype=np.uint32))
 
 
@@ -76,11 +77,6 @@ def test_a_plain_int_rekey_sets_the_state_of_a_uint64_key(key, idx):
         k: fresh[k] for k in ("bit_generator", "buffer_pos", "has_uint32", "uinteger")
     }
     assert bits.random_raw(8).tolist() == want.random_raw(8).tolist()
-
-
-def test_rekeying_checks_the_seed():
-    with pytest.raises(ValueError, match=str(2**64)):
-        _stream(2**64, 0, np.random.Philox())
 
 
 _NOISE = NoiseModel(0.1, 0.9, 0.8, -1.2)
@@ -104,6 +100,14 @@ def test_a_seed_that_is_not_an_integer_is_rejected_not_aliased(sampler, seed):
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_a_numpy_integer_seed_gives_the_streams_of_the_equal_int(sampler, seed):
     assert SAMPLERS[sampler](seed) == SAMPLERS[sampler](int(seed))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_a_seed_outside_64_bits_is_rejected_not_wrapped(sampler, seed):
+    # masked to 64 bits, -1 would draw seed 2**64 - 1's streams and 2**64 seed 0's
+    with pytest.raises(ValueError, match=rf"^seed {seed} is outside \[0, 2\*\*64\)$"):
+        SAMPLERS[sampler](seed)
 
 
 def test_the_born_stack_is_the_nine_pairs_read_only_in_correlation_order():
@@ -303,7 +307,7 @@ def test_sample_events_draws_the_seeds_stream_zero_on_the_threads_generator(seed
     weights = np.arange(1.0, DIM + 1.0)
     for n in (0, 1, 17, 1000, 10**6):
         for dist in (np.full(DIM, 1.0 / DIM), weights):
-            want = experiment._draw_counts(_stream(seed, 0), dist, n)
+            want = experiment._draw_counts(np.random.Generator(_fresh(seed, 0)), dist, n)
             assert sample_events(dist, n, seed) == want, n
             # a run between two calls leaves the thread's generator mid-stream
             experiment.run_schedule(np.eye(DIM) / DIM, Schedule(pair_rate=5.0), seed)
