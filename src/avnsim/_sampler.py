@@ -150,10 +150,10 @@ def binomial(bits: Philox, n: int, p: float) -> int:
     """numpy's binomial draw of n trials at success probability p in [0, 1]."""
     if n == 0 or p == 0.0:
         return 0
-    if p <= 0.5:
-        return _binomial_inversion(bits, n, p) if p * n <= 30.0 else _binomial_btpe(bits, n, p)
-    q = 1.0 - p
-    return n - (_binomial_inversion(bits, n, q) if q * n <= 30.0 else _binomial_btpe(bits, n, q))
+    # both methods draw at r = min(p, 1 - p); the count at p > 0.5 is n less the draw
+    r = p if p <= 0.5 else 1.0 - p
+    x = _binomial_inversion(bits, n, r) if r * n <= 30.0 else _binomial_btpe(bits, n, r)
+    return x if p <= 0.5 else n - x
 
 
 def _binomial_inversion(bits: Philox, n: int, p: float) -> int:
@@ -176,8 +176,8 @@ def _binomial_inversion(bits: Philox, n: int, p: float) -> int:
     return x
 
 
-def _binomial_btpe(bits: Philox, n: int, p: float) -> int:
-    r = min(p, 1.0 - p)
+def _binomial_btpe(bits: Philox, n: int, r: float) -> int:
+    """BTPE's draw of n trials at success probability r <= 0.5."""
     q = 1.0 - r
     fm = n * r + r
     m = math.floor(fm)

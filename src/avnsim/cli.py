@@ -21,7 +21,6 @@ from . import _frame, _records, lhv, reference
 from ._tables import _INDEX_BITS
 
 DEFAULT_SEED = 0
-FORMATS = ("json", "csv", "text")
 
 # reproduction floor of the calibrated four-parameter noise model
 E_ROW_MODEL_TOLERANCE = 0.025
@@ -145,18 +144,18 @@ def load_config(path: str | None) -> dict:
 
 
 def build_run_config(raw: dict, args: dict) -> RunConfig:
+    """The config document raw under the parsed flags args.  Each field of raw is
+    checked as it is read, whether or not a flag then overrides it."""
     _records._config_block(raw, "config", RunConfig._fields)
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
+    seed = _records.check_seed(raw.get("seed", DEFAULT_SEED))
     if args["seed"] is not None:
-        seed = args["seed"]
-    _records.check_seed(seed)
+        seed = _records.check_seed(args["seed"])
     output_format = raw.get("output_format", "json")
+    formats = _OPTIONS[args["command"]]["--format"]
+    if output_format not in formats:
+        raise ValueError(f"output_format must be one of {formats}")
     if args["format"] is not None:
         output_format = args["format"]
-    if output_format not in FORMATS:
-        raise ValueError(f"output_format must be one of {FORMATS}")
     return RunConfig(
         source=_records.SourceConfig.from_dict(raw.get("source", {})),
         noise=_records.NoiseModel.from_dict(raw.get("noise", {})),
@@ -294,7 +293,8 @@ avnsim simulate         [--config PATH] [--seed N] [--format json|csv|text] [--o
 avnsim lhv              [--format json|text] [--out PATH]
 avnsim reproduce-paper  [--seed N] [--format json|text] [--out PATH]
 """
-_OPTIONS = {line.split()[1]: [w[1:] for w in line.split() if w.startswith("[--")] + ["--help"] for line in USAGE.splitlines()}
+# each command's options, each with the values its USAGE line lists ("[--format" "json|text]": the choices)
+_OPTIONS = {w[1]: {o[1:]: v[:-1].split("|") for o, v in zip(w[2::2], w[3::2])} for w in map(str.split, USAGE.splitlines())}
 
 
 def _help():
@@ -325,7 +325,7 @@ def _parse_args(argv: list[str]) -> dict:
     for token in tokens:
         name, eq, value = ("--help" if token == "-h" else token).partition("=")
         # a prefix of every option ("-", "--") or of none is not an option
-        matches = [option for option in _OPTIONS[command] if option.startswith(name)]
+        matches = [option for option in [*_OPTIONS[command], "--help"] if option.startswith(name)]
         if len(matches) != 1:
             _usage_error(f"unrecognized arguments: {token}", command)
         option = matches[0]
@@ -340,8 +340,9 @@ def _parse_args(argv: list[str]) -> dict:
                 value = int(value)
             except ValueError:
                 _usage_error(f"argument --seed: invalid int value: {value!r}", command)
-        elif option == "--format" and value not in FORMATS:
-            _usage_error(f"argument --format: invalid choice: {value!r} (choose from {', '.join(map(repr, FORMATS))})", command)
+        elif option == "--format" and value not in _OPTIONS[command][option]:
+            choices = ", ".join(map(repr, _OPTIONS[command][option]))
+            _usage_error(f"argument --format: invalid choice: {value!r} (choose from {choices})", command)
         args[option[2:]] = value
     return args
 
@@ -354,18 +355,12 @@ def _emit(payload: str, out_path: str | None) -> None:
             fh.write(payload)
 
 
-# the documents that have only the json and text forms
-_NO_CSV = {"lhv": "lhv certificate", "reproduce-paper": "comparison document"}
-
-
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     command, output_format = args["command"], args["format"] or "json"
     try:
         if command in ("predict", "simulate"):
             payload, code = cmd_report(command, build_run_config(load_config(args["config"]), args))
-        elif output_format == "csv":
-            raise ValueError(f"the {_NO_CSV[command]} has no CSV form; use json or text")
         elif command == "lhv":
             payload, code = cmd_lhv(output_format)
         else:

@@ -82,7 +82,11 @@ class TestLhv:
         assert len(doc["lr_bound"]["argmax_assignments"]) == doc["lr_bound"]["argmax_count"]
 
     def test_csv_is_rejected(self, tmp_path):
-        assert main(["lhv", "--format", "csv", "--out", str(tmp_path / "x")]) == 2
+        # csv is outside lhv's USAGE choices, so the parser refuses it before any output
+        with pytest.raises(SystemExit) as exc:
+            main(["lhv", "--format", "csv", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestSimulate:
@@ -237,11 +241,22 @@ class TestErrors:
         assert main([command, "--seed", str(seed)]) == 2
         assert f"seed {seed}" in capsys.readouterr().err
 
-    def test_config_seed_outside_64_bits_exits_2(self, tmp_path, capsys):
+    # a config field is checked as it is read, even when a flag overrides it
+    @pytest.mark.parametrize(
+        "raw, flags, named",
+        [
+            ({"seed": -1}, [], "seed -1"),
+            ({"seed": -1}, ["--seed", "2"], "seed -1"),
+            ({"output_format": "xml"}, [], "output_format"),
+            ({"output_format": "xml"}, ["--format", "csv"], "output_format"),
+        ],
+    )
+    def test_config_field_outside_its_range_exits_2(self, tmp_path, capsys, raw, flags, named):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"seed": -1}))
-        assert main(["simulate", "--config", str(config)]) == 2
-        assert "seed -1" in capsys.readouterr().err
+        config.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(config), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
 
     @pytest.mark.parametrize("literal", ["Infinity", "1e300"])
     def test_undrawable_pair_rate_exits_2_naming_the_field(self, tmp_path, literal):
@@ -302,6 +317,10 @@ def test_json_serializer_full_precision():
     assert json.loads(emitted)["x"] == value
     assert "0.30000000000000004" in emitted
     assert to_json({"nan": float("nan"), "inf": float("inf")}) == '{\n  "nan": null,\n  "inf": null\n}'
+
+
+def test_json_serializer_prints_empty_containers_on_one_line():
+    assert to_json({"rows": [], "fit": {}}) == '{\n  "rows": [],\n  "fit": {}\n}'
 
 
 def test_json_serializer_accepts_numpy_scalars():

@@ -60,6 +60,12 @@ def test_the_last_seed_wins(capsys):
     assert json.loads(out)["rng"]["seed"] == 7
 
 
+# --seed is read by int(), as argparse's type=int reads it: each spelling names one integer
+@pytest.mark.parametrize("spelling, seed", [("1_000", 1000), ("+7", 7), ("\u0661\u0662", 12)])
+def test_parse_args_reads_the_seed_by_int(spelling, seed):
+    assert _parse_args(["simulate", "--seed", spelling])["seed"] == seed
+
+
 def test_parse_args_reads_a_negative_number_as_a_value():
     args = _parse_args(["reproduce-paper", "--seed", "-1", "--out", "-"])
     assert args == {"command": "reproduce-paper", "config": None, "seed": -1, "format": None, "out": "-"}
@@ -96,7 +102,10 @@ def test_help_prints_the_usage_block_and_exits_0(argv, capsys):
         (["simulate", "--seed", "-x"], "argument --seed: expected one argument"),
         (["simulate", "--seed", "one"], "argument --seed: invalid int value: 'one'"),
         (["simulate", "--seed=1.5"], "argument --seed: invalid int value: '1.5'"),
-        (["lhv", "--format", "yaml"], "argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')"),
+        (["lhv", "--format", "yaml"], "argument --format: invalid choice: 'yaml' (choose from 'json', 'text')"),
+        (["lhv", "--format", "csv"], "argument --format: invalid choice: 'csv' (choose from 'json', 'text')"),
+        (["reproduce-paper", "--format", "csv"], "argument --format: invalid choice: 'csv' (choose from 'json', 'text')"),
+        (["predict", "--format", "yaml"], "argument --format: invalid choice: 'yaml' (choose from 'json', 'csv', 'text')"),
     ],
 )
 def test_usage_errors_exit_2_on_stderr_alone(argv, message, capsys):
@@ -114,4 +123,5 @@ def test_a_usage_error_raises_system_exit_2(capsys):
 
 def test_a_usage_error_shows_the_command_line_or_all_four(capsys):
     assert run(["lhv", "--bogus"], capsys)[2].splitlines()[0] == "usage: " + USAGE.splitlines()[2]
+    assert run(["reproduce-paper", "--format", "csv"], capsys)[2].splitlines()[0] == "usage: " + USAGE.splitlines()[3]
     assert len(run(["frob"], capsys)[2].splitlines()) == 5

@@ -54,6 +54,8 @@ def test_each_row_statistic_is_its_correlation_word_and_the_dense_signs(idx, cor
 def test_unknown_symbol_is_rejected():
     with pytest.raises(KeyError):
         _frame.word("yA")
+    with pytest.raises(KeyError):
+        _frame.predict(SourceConfig(), NoiseModel()).estimate("YY")
 
 
 def _floats(report):

@@ -29,7 +29,7 @@ from avnsim.qstate import (
     tensor4,
 )
 from avnsim.observables import bell_operator, correlation_operator, local_observable
-from avnsim.source import build_psi
+from avnsim.source import NoiseModel, apply_noise, build_psi
 
 ALICE_POL = SubsystemSlot(Party.ALICE, Dof.POL)
 ALICE_PATH = SubsystemSlot(Party.ALICE, Dof.PATH)
@@ -232,6 +232,12 @@ _ZZ = correlation_operator("ZZ")
 def test_assert_density_matrix_rejects_each_defect(rho, message):
     with pytest.raises(ValueError, match=message):
         assert_density_matrix(rho)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.05, 0.95, 0.9, 0.1)], ids=["ideal", "noisy"])
+def test_assert_density_matrix_returns_a_valid_state(noise):
+    rho = apply_noise(build_psi(0.0), noise)
+    assert np.array_equal(assert_density_matrix(rho), rho)
 
 
 @pytest.mark.parametrize(
