@@ -27,6 +27,7 @@ def _load_on_first_use(name: str):
     return module
 
 
+_formats = _load_on_first_use("_formats")
 _frame = _load_on_first_use("_frame")
 _records = _load_on_first_use("_records")
 _sampler = _load_on_first_use("_sampler")

@@ -29,8 +29,6 @@ which builds the report as the dense path does (experiment.predict_exact
 and run_schedule on source.apply_noise), this module's oracle in tests.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import namedtuple
@@ -76,6 +74,8 @@ _ROW_SUBSET_WORDS = tuple(
     tuple(reduce(compose, (g for i, g in enumerate(gens) if mask & _WEIGHTS[i]), IDENTITY) for mask in range(_BINS))
     for gens in (tuple(map(word, _generators(corr))) for corr in CORRELATIONS)
 )
+# per row, the (subset mask, word) terms that can be non-zero: 48 of the 144, the rest 0 by the support rule
+_ROW_LIVE_TERMS = tuple(tuple((m, p) for m, p in enumerate(words) if p[0] in _LIVE_X) for words in _ROW_SUBSET_WORDS)
 
 
 def _expectation(source: SourceConfig, noise: NoiseModel):
@@ -98,8 +98,11 @@ def _expectation(source: SourceConfig, noise: NoiseModel):
 
 def _born_rows(expect, rows) -> list[list[float]]:
     """The 16-bin Born rows of the given correlation indices, checked and clipped by _records._distributions."""
+    live = [_ROW_LIVE_TERMS[k] for k in rows]
+    # each distinct word once: the nine rows' 48 live terms hold 28 words
+    value = {p: expect(p) for p in dict.fromkeys(p for terms in live for _, p in terms)}
     # sign (-1)^|m & b|; skipping zero terms moves no bit, as each sum starts at the identity's ~1
-    nonzero = [[(m, e) for m, e in enumerate(map(expect, _ROW_SUBSET_WORDS[k])) if e] for k in rows]
+    nonzero = [[(m, e) for m, p in terms if (e := value[p])] for terms in live]
     table = [[_left_sum([-e if (m & b).bit_count() % 2 else e for m, e in terms]) / 16 for b in range(_BINS)] for terms in nonzero]
     return _distributions(table)
 

@@ -10,8 +10,6 @@ and experiment re-export these names, so each is one object whichever
 module it is read from.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple

@@ -22,8 +22,6 @@ The arithmetic follows numpy's C source operation by operation: the
 counts depend on the last bit of every probability and every draw.
 """
 
-from __future__ import annotations
-
 import math
 
 _MASK = (1 << 64) - 1

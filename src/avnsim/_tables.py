@@ -19,9 +19,6 @@ first.  A correlation's statistic is the product of its factors' bits:
 odd bins.
 """
 
-from __future__ import annotations
-
-import re
 from collections import namedtuple
 from enum import Enum
 
@@ -78,11 +75,19 @@ SYMBOLS: tuple[str, ...] = (
 )
 
 
+def _split_symbol(symbol: str) -> list[tuple[str, str, str]]:
+    """The (pauli, party, prime) strings of each [zx][AB]'? factor of symbol, left to right:
+    every factor starts at its z or x."""
+    for pauli in "zx":
+        symbol = symbol.replace(pauli, " " + pauli)
+    return [(factor[0], factor[1], factor[2:]) for factor in symbol.split()]
+
+
 # each symbol's factors left to right, (pauli, qubit): a factor [zx][AB]'? is
 # that party's Pauli Z or X on polarization, or on path when primed
 _FACTORS = {
     symbol: tuple((pauli, (Party.ALICE if party == "A" else Party.BOB, Dof.PATH if prime else Dof.POL))
-                  for pauli, party, prime in re.findall(r"([zx])([AB])('?)", symbol))
+                  for pauli, party, prime in _split_symbol(symbol))
     for symbol in SYMBOLS
 }
 

@@ -10,7 +10,8 @@ constraints on the twelve values, read from the nine CORRELATIONS
 (factor symbols and predicted sign).  This module records, for each of
 the 2^12 assignments, the set of constraints it violates, as one table
 of bit sets per constraint system, built once and read by the audit,
-the bound and the LR histogram alike.  It certifies that the system is
+the bound and the LR histogram alike; the audit and the bound share one
+count of each row's violations.  It certifies that the system is
 contradictory by a GF(2) rank test (every symbol appears an even number
 of times across the nine left-hand sides, so their product is +1, while
 the required signs multiply to -1: no assignment meets all nine, so no
@@ -20,8 +21,6 @@ k = n - |V| of them and scores n - 2|V| on the Bell quantity.
 Everything here is exact integer arithmetic in plain Python; no floating
 point touches the certificate, and the module does not import numpy.
 """
-
-from __future__ import annotations
 
 import functools
 import itertools
@@ -119,59 +118,66 @@ def _doubled(constraints: tuple[Constraint, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+_SIGN = {"0": 1, "1": -1}
+
+
 def _assignment(row: int) -> Assignment:
     """Row `row` of enumerate_assignments(): symbol 0 is the most significant bit, 1 means -1."""
-    last = len(SYMBOLS) - 1
-    return tuple(-1 if row >> (last - i) & 1 else 1 for i in range(len(SYMBOLS)))
+    return tuple(map(_SIGN.__getitem__, format(row, f"0{len(SYMBOLS)}b")))
 
 
-def _constraint_product(assignment: Assignment, constraint: Constraint) -> int:
-    p = 1
-    for s in constraint.symbols:
-        p *= assignment[_SYMBOL_INDEX[s]]
-    return p
+def _scored(assignment: Assignment, constraints: Sequence[Constraint]) -> tuple[tuple[bool, ...], int]:
+    """Which constraints the assignment meets, and its Bell quantity, from one
+    product of the factors' values per constraint, recomputed symbol by symbol."""
+    flags, bell = [], 0
+    for c in constraints:
+        p = 1
+        for s in c.symbols:
+            p *= assignment[_SYMBOL_INDEX[s]]
+        flags.append(p == c.required)
+        bell += c.required * p
+    return tuple(flags), bell
 
 
 ConstraintReport = namedtuple("ConstraintReport", "satisfied satisfied_count")
 
 
 def check_constraints(assignment: Assignment, constraints: Sequence[Constraint] = CONSTRAINTS) -> ConstraintReport:
-    flags = tuple(_constraint_product(assignment, c) == c.required for c in constraints)
+    flags, _ = _scored(assignment, constraints)
     return ConstraintReport(flags, sum(flags))
 
 
 def bell_quantity(assignment: Assignment, constraints: Sequence[Constraint] = CONSTRAINTS) -> int:
     """Signed sum of the constraint products; +1 per satisfied, -1 per violated."""
-    return sum(c.required * _constraint_product(assignment, c) for c in constraints)
+    return _scored(assignment, constraints)[1]
 
 
 AvnAudit = namedtuple("AvnAudit", "all_nine_count max_satisfied assignments_at_max histogram")  # histogram by satisfied_count
+LrBound = namedtuple("LrBound", "max_value min_value argmax_assignments")
+
+
+def _audit_and_bound(constraints: Sequence[Constraint]) -> tuple[AvnAudit, LrBound]:
+    """Both summaries of the violated-set table, from one count of each row's violations."""
+    n = len(constraints)
+    sizes = list(map(int.bit_count, _violations(constraints)))
+    by_size = Counter(sizes)
+    histogram = tuple(by_size[n - k] for k in range(n + 1))
+    met = [k for k, count in enumerate(histogram) if count]  # the satisfied counts that occur, ascending
+    best, worst = met[-1], met[0]
+    row = -1  # the rows that meet `best`, found in order by the list's own search
+    argmax = [row := sizes.index(n - best, row + 1) for _ in range(histogram[best])]
+    audit = AvnAudit(all_nine_count=histogram[n], max_satisfied=best, assignments_at_max=histogram[best], histogram=histogram)
+    return audit, LrBound(max_value=2 * best - n, min_value=2 * worst - n, argmax_assignments=tuple(map(_assignment, argmax)))
 
 
 def avn_audit(constraints: Sequence[Constraint] = CONSTRAINTS) -> AvnAudit:
     """Full-enumeration summary of how many constraints each assignment meets."""
-    n = len(constraints)
-    sizes = Counter(map(int.bit_count, _violations(constraints)))
-    histogram = [sizes[n - k] for k in range(n + 1)]
-    max_satisfied = max(k for k, count in enumerate(histogram) if count > 0)
-    return AvnAudit(
-        all_nine_count=histogram[n],
-        max_satisfied=max_satisfied,
-        assignments_at_max=histogram[max_satisfied],
-        histogram=tuple(histogram),
-    )
-
-
-LrBound = namedtuple("LrBound", "max_value min_value argmax_assignments")
+    return _audit_and_bound(constraints)[0]
 
 
 def lr_bound(constraints: Sequence[Constraint] = CONSTRAINTS) -> LrBound:
     """Extremes of the Bell quantity over all deterministic assignments."""
-    n = len(constraints)
-    sizes = list(map(int.bit_count, _violations(constraints)))
-    fewest = min(sizes)
-    argmax = tuple(_assignment(row) for row, size in enumerate(sizes) if size == fewest)
-    return LrBound(max_value=n - 2 * fewest, min_value=n - 2 * max(sizes), argmax_assignments=argmax)
+    return _audit_and_bound(constraints)[1]
 
 
 def parity_witness(constraints: Sequence[Constraint] = CONSTRAINTS) -> bool:
@@ -217,14 +223,13 @@ def lr_m_histogram() -> tuple[float, ...]:
 
 def certificate() -> dict:
     """Machine-readable contradiction certificate for the CLI."""
-    audit = avn_audit()
-    bound = lr_bound()
+    audit, bound = _audit_and_bound(CONSTRAINTS)
     witness = parity_witness()
     # recomputed symbol by symbol, not read from the violated-set table, on
     # each published maximiser: Bell = 2k - 9 = the bound
     identity_ok = all(
-        bell_quantity(a) == 2 * check_constraints(a).satisfied_count - 9 == bound.max_value
-        for a in bound.argmax_assignments
+        bell == 2 * sum(flags) - 9 == bound.max_value
+        for flags, bell in (_scored(a, CONSTRAINTS) for a in bound.argmax_assignments)
     )
     checks = {
         "no_assignment_satisfies_all_nine": audit.all_nine_count == 0,

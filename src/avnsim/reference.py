@@ -9,13 +9,11 @@ binomial error model are consistent with the quoted rate for all rows
 except Z'Z', which is flagged rather than forced.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 
-from ._frame import FitResult, fit_noise
-from ._records import Schedule, _left_sum
+from ._frame import FitResult, fit_noise, predict, simulate
+from ._records import NoiseModel, Schedule, SourceConfig, _left_sum
 from ._tables import CORRELATION_IDS
 
 # measured correlation values (E, standard error), canonical non-M order
@@ -40,6 +38,9 @@ COLLECTION_SECONDS = 1.0
 
 # sample-size band consistent with the quoted rate and collection time
 IMPLIED_N_BAND = (2.5e4, 4.0e4)
+
+# reproduction floor of the calibrated four-parameter noise model
+E_ROW_MODEL_TOLERANCE = 0.025
 
 
 def measured_targets() -> tuple[float, ...]:
@@ -106,3 +107,56 @@ def matched_schedule() -> Schedule:
 def fitted_noise() -> FitResult:
     """Noise model calibrated to the eight measured correlations (cached)."""
     return fit_noise(measured_targets())
+
+
+# the comparison's columns, one record per row
+_ROW_KEYS = ("name", "paper", "derived_from_paper", "exact_qm", "simulated", "tolerance", "pass")
+
+
+def _reproduce_document(seed: int) -> dict:
+    """reproduce-paper's comparison of the published values with the exact and the
+    simulated ones, the simulation drawn from the given (checked) seed."""
+    fit = fitted_noise()
+    phi0 = SourceConfig()
+    exact_fitted = predict(phi0, fit.model)
+    exact_ideal = predict(phi0, NoiseModel())
+    simulated = simulate(phi0, fit.model, matched_schedule(), seed)
+
+    # the four-parameter noise model reproduces the measured table with a
+    # structural residual of up to ~0.021 per row (it ties E(X'X') to
+    # E(Z-X'-ZX') exactly), so E rows pass at that model floor plus a
+    # sampling margin rather than at pure counting precision; E(M) is
+    # judged against the value derived from the paper
+    def e_row(cid, paper, derived):
+        est = simulated.estimate(cid)
+        tol = E_ROW_MODEL_TOLERANCE + 3.0 * est.stderr
+        target = paper if derived is None else derived
+        return f"E({cid})", paper, derived, exact_ideal.estimate(cid).E, est.E, tol, abs(est.E - target) <= tol
+
+    rows = [e_row(cid, e_meas, None) for cid, (e_meas, _) in MEASURED_CORRELATIONS.items()]
+    rows.append(e_row("M", None, derived_m_value()))
+    # m_fidelity is (1 - E(M))/2, so it is judged by the E(M) row's rule at half scale
+    tol_fid = rows[-1][_ROW_KEYS.index("tolerance")] / 2.0
+    sigma_derived = sigma_ratio()
+    fid_derived = derived_m_fidelity()
+    vis_derived = mean_absolute_correlation()
+    vis_sim = _left_sum([abs(est.E) for est in simulated.estimates]) / 9.0
+    rows += [
+        ("bell_value", BELL_VALUE, None, exact_ideal.bell_value, simulated.bell_value, 0.05,
+         abs(simulated.bell_value - BELL_VALUE) <= 0.05),
+        ("sigma_violation", QUOTED_SIGMA, sigma_derived, None, simulated.sigma_violation, None,
+         abs(sigma_derived - QUOTED_SIGMA) <= 1.0 and abs(simulated.sigma_violation - QUOTED_SIGMA) <= 0.2 * QUOTED_SIGMA),
+        ("m_fidelity", QUOTED_FIDELITY, fid_derived, exact_ideal.m_fidelity, simulated.m_fidelity, tol_fid,
+         abs(fid_derived - QUOTED_FIDELITY) <= 0.005 and abs(simulated.m_fidelity - fid_derived) <= tol_fid),
+        ("visibility", QUOTED_VISIBILITY, vis_derived, 1.0, vis_sim, None,
+         abs(vis_derived - QUOTED_VISIBILITY) <= 0.005 and abs(vis_sim - vis_derived) <= 0.005),
+    ]
+    rows = [dict(zip(_ROW_KEYS, row)) for row in rows]
+    return {
+        "seed": seed,
+        "fitted_noise": fit.model.to_dict(),
+        "fit_residual": fit.residual,
+        "exact_bell_of_fitted_model": exact_fitted.bell_value,
+        "rows": rows,
+        "all_pass": all(row["pass"] for row in rows),
+    }

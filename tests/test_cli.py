@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avnsim.cli import _reproduce_document, main, to_json
+from avnsim.cli import main, to_json
+from avnsim.reference import _reproduce_document
 from avnsim import reference
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from avnsim.cli import _bin_label
+from avnsim._formats import _bin_label
 from avnsim.experiment import OUTCOME_BITS
 from avnsim.qstate import (
     DIM,
